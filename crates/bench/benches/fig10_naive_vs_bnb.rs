@@ -13,7 +13,7 @@
 use ci_bench::{dblp_data, imdb_data};
 use ci_datagen::{dblp_workload, imdb_synthetic_workload, sample_database, DblpData, ImdbData};
 use ci_graph::WeightConfig;
-use ci_rank::{CiRankConfig, Engine};
+use ci_rank::{CiRankConfig, EngineBuilder};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench(c: &mut Criterion) {
@@ -30,15 +30,13 @@ fn bench(c: &mut Criterion) {
             tables: full.tables,
             truth,
         };
-        let engine = Engine::build(
-            &data.db,
-            CiRankConfig {
-                weights: WeightConfig::imdb_default(),
-                k: 5,
-                max_expansions: Some(ci_bench::BENCH_EXPANSION_CAP),
-                ..Default::default()
-            },
-        )
+        let engine = EngineBuilder::new(CiRankConfig {
+            weights: WeightConfig::imdb_default(),
+            k: 5,
+            max_expansions: Some(ci_bench::BENCH_EXPANSION_CAP),
+            ..Default::default()
+        })
+        .build(&data.db)
         .unwrap();
         let queries: Vec<String> = imdb_synthetic_workload(&data, 3, 3)
             .into_iter()
@@ -47,14 +45,14 @@ fn bench(c: &mut Criterion) {
         group.bench_function("imdb/naive", |b| {
             b.iter(|| {
                 for q in &queries {
-                    let _ = std::hint::black_box(engine.search_naive(q));
+                    let _ = std::hint::black_box(engine.session().search_naive(q));
                 }
             })
         });
         group.bench_function("imdb/bnb", |b| {
             b.iter(|| {
                 for q in &queries {
-                    let _ = std::hint::black_box(engine.search(q));
+                    let _ = std::hint::black_box(engine.session().search_with_stats(q));
                 }
             })
         });
@@ -70,15 +68,13 @@ fn bench(c: &mut Criterion) {
             tables: full.tables,
             truth,
         };
-        let engine = Engine::build(
-            &data.db,
-            CiRankConfig {
-                weights: WeightConfig::dblp_default(),
-                k: 5,
-                max_expansions: Some(ci_bench::BENCH_EXPANSION_CAP),
-                ..Default::default()
-            },
-        )
+        let engine = EngineBuilder::new(CiRankConfig {
+            weights: WeightConfig::dblp_default(),
+            k: 5,
+            max_expansions: Some(ci_bench::BENCH_EXPANSION_CAP),
+            ..Default::default()
+        })
+        .build(&data.db)
         .unwrap();
         let queries: Vec<String> = dblp_workload(&data, 3, 3)
             .into_iter()
@@ -87,14 +83,14 @@ fn bench(c: &mut Criterion) {
         group.bench_function("dblp/naive", |b| {
             b.iter(|| {
                 for q in &queries {
-                    let _ = std::hint::black_box(engine.search_naive(q));
+                    let _ = std::hint::black_box(engine.session().search_naive(q));
                 }
             })
         });
         group.bench_function("dblp/bnb", |b| {
             b.iter(|| {
                 for q in &queries {
-                    let _ = std::hint::black_box(engine.search(q));
+                    let _ = std::hint::black_box(engine.session().search_with_stats(q));
                 }
             })
         });

@@ -28,7 +28,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("upbound", d), &d, |b, _| {
             b.iter(|| {
                 for q in &imdb_qs {
-                    let _ = std::hint::black_box(plain.search(q));
+                    let _ = std::hint::black_box(plain.session().search_with_stats(q));
                 }
             })
         });
@@ -36,7 +36,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("upbound_index", d), &d, |b, _| {
             b.iter(|| {
                 for q in &imdb_qs {
-                    let _ = std::hint::black_box(indexed.search(q));
+                    let _ = std::hint::black_box(indexed.session().search_with_stats(q));
                 }
             })
         });
@@ -50,7 +50,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("upbound", d), &d, |b, _| {
             b.iter(|| {
                 for q in &dblp_qs {
-                    let _ = std::hint::black_box(plain.search(q));
+                    let _ = std::hint::black_box(plain.session().search_with_stats(q));
                 }
             })
         });
@@ -58,7 +58,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("upbound_index", d), &d, |b, _| {
             b.iter(|| {
                 for q in &dblp_qs {
-                    let _ = std::hint::black_box(indexed.search(q));
+                    let _ = std::hint::black_box(indexed.session().search_with_stats(q));
                 }
             })
         });

@@ -22,7 +22,7 @@ use ci_datagen::{
     ImdbConfig, ImdbData, LabeledQuery,
 };
 use ci_graph::{MergeSpec, WeightConfig};
-use ci_rank::{CiRankConfig, Engine, IndexKind};
+use ci_rank::{CiRankConfig, EngineBuilder, EngineSnapshot, IndexKind};
 
 /// Bench-scale IMDB dataset (deterministic).
 pub fn imdb_data() -> ImdbData {
@@ -55,42 +55,38 @@ pub fn dblp_data() -> DblpData {
 /// timings stay meaningful.
 pub const BENCH_EXPANSION_CAP: usize = 3_000;
 
-/// Paper-default engine over an IMDB dataset with the given diameter and
+/// Paper-default snapshot over an IMDB dataset with the given diameter and
 /// index.
-pub fn imdb_engine(data: &ImdbData, diameter: u32, index: IndexKind) -> Engine {
-    Engine::build(
-        &data.db,
-        CiRankConfig {
-            weights: WeightConfig::imdb_default(),
-            merge: Some(MergeSpec::over(vec![
-                data.tables.actor,
-                data.tables.actress,
-                data.tables.director,
-                data.tables.producer,
-            ])),
-            diameter,
-            k: 5,
-            index,
-            max_expansions: Some(BENCH_EXPANSION_CAP),
-            ..Default::default()
-        },
-    )
+pub fn imdb_engine(data: &ImdbData, diameter: u32, index: IndexKind) -> EngineSnapshot {
+    EngineBuilder::new(CiRankConfig {
+        weights: WeightConfig::imdb_default(),
+        merge: Some(MergeSpec::over(vec![
+            data.tables.actor,
+            data.tables.actress,
+            data.tables.director,
+            data.tables.producer,
+        ])),
+        diameter,
+        k: 5,
+        index,
+        max_expansions: Some(BENCH_EXPANSION_CAP),
+        ..Default::default()
+    })
+    .build(&data.db)
     .expect("bench data is non-empty")
 }
 
-/// Paper-default engine over a DBLP dataset.
-pub fn dblp_engine(data: &DblpData, diameter: u32, index: IndexKind) -> Engine {
-    Engine::build(
-        &data.db,
-        CiRankConfig {
-            weights: WeightConfig::dblp_default(),
-            diameter,
-            k: 5,
-            index,
-            max_expansions: Some(BENCH_EXPANSION_CAP),
-            ..Default::default()
-        },
-    )
+/// Paper-default snapshot over a DBLP dataset.
+pub fn dblp_engine(data: &DblpData, diameter: u32, index: IndexKind) -> EngineSnapshot {
+    EngineBuilder::new(CiRankConfig {
+        weights: WeightConfig::dblp_default(),
+        diameter,
+        k: 5,
+        index,
+        max_expansions: Some(BENCH_EXPANSION_CAP),
+        ..Default::default()
+    })
+    .build(&data.db)
     .expect("bench data is non-empty")
 }
 
@@ -123,7 +119,10 @@ mod tests {
         assert!(!queries.is_empty());
         // Each query must run without error.
         for q in &queries {
-            let _ = engine.search(q).expect("bench query runs");
+            engine
+                .session()
+                .search_with_stats(q)
+                .expect("bench query runs");
         }
     }
 }

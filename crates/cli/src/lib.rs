@@ -37,7 +37,7 @@ use std::io::{BufReader, BufWriter};
 
 use ci_datagen::{generate_dblp, generate_imdb, DblpConfig, ImdbConfig};
 use ci_graph::WeightConfig;
-use ci_rank::{CiRankConfig, Engine, Ranker, TraceLevel};
+use ci_rank::{CiRankConfig, EngineBuilder, Ranker, TraceLevel};
 use ci_storage::{persist, Database};
 
 /// CLI failure: a user-facing message plus a suggestion to print usage.
@@ -223,15 +223,20 @@ fn search(args: &[String]) -> Result<String, CliError> {
     let query = flags.require("query")?.to_string();
     let db = load_db(data)?;
     let weights = infer_weights(&db, flags.get("weights"))?;
+    let k = flags.get_usize("k", 10)?;
+    if k == 0 {
+        return Err(CliError(format!("--k must be at least 1\n\n{USAGE}")));
+    }
     let cfg = CiRankConfig {
         weights,
-        k: flags.get_usize("k", 10)?,
+        k,
         diameter: flags.get_usize("diameter", 4)? as u32,
         max_expansions: Some(50_000),
         ..Default::default()
     };
-    let engine =
-        Engine::build(&db, cfg).map_err(|e| CliError(format!("engine build failed: {e}")))?;
+    let engine = EngineBuilder::new(cfg)
+        .build(&db)
+        .map_err(|e| CliError(format!("engine build failed: {e}")))?;
 
     let ranker = match flags.get("ranker").unwrap_or("ci") {
         "ci" => Ranker::CiRank,
@@ -287,9 +292,15 @@ fn search(args: &[String]) -> Result<String, CliError> {
         if flags.has("trace") {
             let _ = writeln!(out, "note: --trace instruments the ci ranker only");
         }
-        engine
-            .search_ranked(&query, ranker, cfg_pool(&flags)?)
-            .map_err(|e| CliError(format!("search failed: {e}")))?
+        // Baseline rankers re-rank a common CI candidate pool, larger than
+        // k so they can promote answers CI-Rank placed lower.
+        let mut answers = engine
+            .session()
+            .candidate_pool(&query, k.max(10) * 2)
+            .and_then(|pool| engine.rank(&query, &pool, ranker))
+            .map_err(|e| CliError(format!("search failed: {e}")))?;
+        answers.truncate(k);
+        answers
     };
 
     if answers.is_empty() {
@@ -329,10 +340,12 @@ fn explain(args: &[String]) -> Result<String, CliError> {
         max_expansions: Some(50_000),
         ..Default::default()
     };
-    let engine =
-        Engine::build(&db, cfg).map_err(|e| CliError(format!("engine build failed: {e}")))?;
-    let answers = engine
-        .search(&query)
+    let engine = EngineBuilder::new(cfg)
+        .build(&db)
+        .map_err(|e| CliError(format!("engine build failed: {e}")))?;
+    let (answers, _) = engine
+        .session()
+        .search_with_stats(&query)
         .map_err(|e| CliError(format!("search failed: {e}")))?;
     if answers.is_empty() {
         return Ok(format!("no answers for {query:?}\n"));
@@ -350,10 +363,6 @@ fn explain(args: &[String]) -> Result<String, CliError> {
     let _ = writeln!(out, "#{rank:<2} {a}");
     out.push_str(&report.render());
     Ok(out)
-}
-
-fn cfg_pool(flags: &Flags) -> Result<usize, CliError> {
-    Ok(flags.get_usize("k", 10)?.max(10) * 2)
 }
 
 fn stats(args: &[String]) -> Result<String, CliError> {
@@ -530,6 +539,48 @@ mod tests {
         ]))
         .unwrap();
         assert!(res.contains("ci ranker only"), "{res}");
+    }
+
+    #[test]
+    fn k_zero_is_a_usage_error() {
+        let path = tmp("dblp5.dump");
+        run(&argv(&["generate", "dblp", "--out", &path, "--seed", "5"])).unwrap();
+        let err = run(&argv(&[
+            "search",
+            "--data",
+            &path,
+            "--query",
+            "data query",
+            "--k",
+            "0",
+        ]))
+        .unwrap_err();
+        assert!(err.0.contains("--k must be at least 1"), "{err}");
+        assert!(err.0.contains("USAGE"), "{err}");
+    }
+
+    #[test]
+    fn baseline_rankers_honour_k() {
+        let path = tmp("dblp6.dump");
+        run(&argv(&["generate", "dblp", "--out", &path, "--seed", "7"])).unwrap();
+        // Both words occur in many titles, so the re-ranked pool (20
+        // answers) is larger than k; D = 2 keeps the pool search cheap.
+        let res = run(&argv(&[
+            "search",
+            "--data",
+            &path,
+            "--query",
+            "data query",
+            "--k",
+            "3",
+            "--diameter",
+            "2",
+            "--ranker",
+            "spark",
+        ]))
+        .unwrap();
+        let shown = res.lines().filter(|l| l.starts_with('#')).count();
+        assert_eq!(shown, 3, "{res}");
     }
 
     #[test]

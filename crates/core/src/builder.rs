@@ -18,8 +18,8 @@ use crate::Result;
 
 /// The stages of [`EngineBuilder::build`], in execution order.
 ///
-/// Exposed so callers (the CLI's verbose mode, benchmarks) can observe
-/// build progress through [`EngineBuilder::on_stage`].
+/// Exposed so callers (benchmarks, build-time reporting) can observe
+/// build progress through [`EngineBuilder::on_stage_report`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuildStage {
     /// Map the database to the weighted data graph (Table II).
@@ -80,13 +80,10 @@ pub struct StageReport {
 /// The pipeline runs graph → text index → importance → prestige →
 /// dampening → distance index, each stage consuming the previous stage's
 /// outputs; the result is an immutable, query-ready snapshot that is
-/// `Send + Sync` and cheap to share behind an `Arc`.
-///
-/// [`crate::Engine::build`] is the one-call convenience wrapper; use the
-/// builder directly to observe stage progress.
+/// `Send + Sync` and cheap to share behind an `Arc`. This is the only way
+/// to build one: `EngineBuilder::new(cfg).build(&db)`.
 pub struct EngineBuilder {
     cfg: CiRankConfig,
-    on_stage: Option<Box<dyn FnMut(BuildStage)>>,
     on_stage_report: Option<Box<dyn FnMut(StageReport)>>,
     running: Option<(BuildStage, Instant, usize)>,
 }
@@ -104,17 +101,9 @@ impl EngineBuilder {
     pub fn new(cfg: CiRankConfig) -> Self {
         EngineBuilder {
             cfg,
-            on_stage: None,
             on_stage_report: None,
             running: None,
         }
-    }
-
-    /// Registers a progress callback, invoked as each [`BuildStage`]
-    /// starts.
-    pub fn on_stage(mut self, f: impl FnMut(BuildStage) + 'static) -> Self {
-        self.on_stage = Some(Box::new(f));
-        self
     }
 
     /// Registers a completion callback, invoked with a [`StageReport`]
@@ -127,9 +116,6 @@ impl EngineBuilder {
 
     fn enter(&mut self, stage: BuildStage, threads: usize) {
         self.finish_stage();
-        if let Some(f) = self.on_stage.as_mut() {
-            f(stage);
-        }
         self.running = Some((stage, Instant::now(), threads));
     }
 
@@ -297,25 +283,10 @@ mod tests {
     }
 
     #[test]
-    fn stages_fire_in_order() {
-        let seen = Rc::new(RefCell::new(Vec::new()));
-        let sink = Rc::clone(&seen);
-        let snap = EngineBuilder::new(CiRankConfig {
-            weights: WeightConfig::dblp_default(),
-            ..Default::default()
-        })
-        .on_stage(move |s| sink.borrow_mut().push(s))
-        .build(&tiny_db())
-        .unwrap();
-        assert_eq!(seen.borrow().as_slice(), &BuildStage::ALL);
-        assert_eq!(snap.graph().node_count(), 2);
-    }
-
-    #[test]
-    fn stage_reports_cover_all_stages_with_thread_counts() {
+    fn stage_reports_cover_all_stages_in_order_with_thread_counts() {
         let reports = Rc::new(RefCell::new(Vec::new()));
         let sink = Rc::clone(&reports);
-        EngineBuilder::new(CiRankConfig {
+        let snap = EngineBuilder::new(CiRankConfig {
             weights: WeightConfig::dblp_default(),
             index: crate::IndexKind::Naive,
             build_threads: 3,
@@ -324,6 +295,7 @@ mod tests {
         .on_stage_report(move |r| sink.borrow_mut().push(r))
         .build(&tiny_db())
         .unwrap();
+        assert_eq!(snap.graph().node_count(), 2);
         let reports = reports.borrow();
         let stages: Vec<BuildStage> = reports.iter().map(|r| r.stage).collect();
         assert_eq!(stages.as_slice(), &BuildStage::ALL);
@@ -361,7 +333,7 @@ mod tests {
         let sink = Rc::clone(&seen);
         let (db, _) = schemas::dblp();
         let err = EngineBuilder::new(CiRankConfig::default())
-            .on_stage(move |s| sink.borrow_mut().push(s))
+            .on_stage_report(move |r| sink.borrow_mut().push(r))
             .build(&db)
             .unwrap_err();
         assert_eq!(err, CiRankError::EmptyDatabase);

@@ -1,5 +1,5 @@
 use ci_graph::{MergeSpec, WeightConfig};
-use ci_search::SearchOptions;
+use ci_search::{QueryBudget, SearchOptions};
 
 /// How node importance (Eq. 1) is computed.
 #[derive(Debug, Clone)]
@@ -95,13 +95,20 @@ impl Default for CiRankConfig {
 }
 
 impl CiRankConfig {
-    /// The search options implied by this configuration.
+    /// The search options implied by this configuration. The budget
+    /// carries the branch-and-bound expansion cap when one is set and is
+    /// otherwise unlimited (preserving the exactness guarantee); deadlines
+    /// and memory caps are per-query decisions — set them on the session
+    /// via [`crate::QuerySession::with_budget`].
     pub fn search_options(&self) -> SearchOptions {
         SearchOptions {
             diameter: self.diameter,
             k: self.k,
             max_tree_nodes: self.max_tree_nodes,
-            budget: self.query_budget(),
+            budget: match self.max_expansions {
+                Some(n) => QueryBudget::default().with_max_expansions(n),
+                None => QueryBudget::UNLIMITED,
+            },
             naive_max_paths: self.naive_max_paths,
             naive_max_combinations: self.naive_max_combinations,
             ..Default::default()
@@ -134,5 +141,21 @@ mod tests {
         let o = c.search_options();
         assert_eq!(o.diameter, 6);
         assert_eq!(o.k, 5);
+    }
+
+    #[test]
+    fn config_maps_expansion_cap_into_the_budget() {
+        assert!(CiRankConfig::default()
+            .search_options()
+            .budget
+            .is_unlimited());
+        let capped = CiRankConfig {
+            max_expansions: Some(500),
+            ..Default::default()
+        };
+        let b = capped.search_options().budget;
+        assert_eq!(b.max_expansions, Some(500));
+        assert!(b.deadline.is_none());
+        assert!(!b.is_unlimited());
     }
 }

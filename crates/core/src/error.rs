@@ -1,6 +1,7 @@
 use std::fmt;
 
-/// Errors surfaced by the [`crate::Engine`].
+/// Errors surfaced by [`crate::EngineBuilder::build`] and the query
+/// methods of [`crate::EngineSnapshot`] and [`crate::QuerySession`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CiRankError {
     /// The query contained no usable keywords after tokenization.

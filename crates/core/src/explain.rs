@@ -165,11 +165,11 @@ impl ExplainReport {
 
 #[cfg(test)]
 mod tests {
-    use crate::{CiRankConfig, CiRankError, Engine};
+    use crate::{CiRankConfig, CiRankError, EngineBuilder, EngineSnapshot};
     use ci_graph::WeightConfig;
     use ci_storage::{schemas, Value};
 
-    fn coauthor_engine() -> Engine {
+    fn coauthor_engine() -> EngineSnapshot {
         let (mut db, t) = schemas::dblp();
         let yu = db
             .insert(t.author, vec![Value::text("Xiaohui Yu")])
@@ -187,13 +187,13 @@ mod tests {
             weights: WeightConfig::dblp_default(),
             ..Default::default()
         };
-        Engine::build(&db, cfg).unwrap()
+        EngineBuilder::new(cfg).build(&db).unwrap()
     }
 
     #[test]
     fn report_score_matches_ranked_score_bitwise() {
         let engine = coauthor_engine();
-        let answers = engine.search("yu shi").unwrap();
+        let answers = engine.session().search_with_stats("yu shi").unwrap().0;
         assert_eq!(answers.len(), 1);
         let report = engine.explain("yu shi", &answers[0].tree).unwrap();
         assert_eq!(report.score().to_bits(), answers[0].score.to_bits());
@@ -204,7 +204,7 @@ mod tests {
     #[test]
     fn render_annotates_every_node() {
         let engine = coauthor_engine();
-        let answers = engine.search("yu shi").unwrap();
+        let answers = engine.session().search_with_stats("yu shi").unwrap().0;
         let report = engine.explain("yu shi", &answers[0].tree).unwrap();
         let text = report.render();
         assert!(text.starts_with("score "), "{text}");
@@ -223,7 +223,7 @@ mod tests {
     #[test]
     fn tree_without_matchers_is_rejected() {
         let engine = coauthor_engine();
-        let answers = engine.search("yu shi").unwrap();
+        let answers = engine.session().search_with_stats("yu shi").unwrap().0;
         // A singleton tree on the free paper node matches neither keyword.
         let free = answers[0]
             .tree
@@ -241,7 +241,7 @@ mod tests {
     #[test]
     fn single_matcher_report_renders_the_convention() {
         let engine = coauthor_engine();
-        let answers = engine.search("rank").unwrap();
+        let answers = engine.session().search_with_stats("rank").unwrap().0;
         assert!(!answers.is_empty());
         let report = engine.explain("rank", &answers[0].tree).unwrap();
         let text = report.render();

@@ -8,7 +8,7 @@
 //!
 //! ```
 //! use ci_rank::feedback::FeedbackLog;
-//! use ci_rank::{CiRankConfig, Engine, ImportanceMethod};
+//! use ci_rank::{CiRankConfig, EngineBuilder, ImportanceMethod};
 //! use ci_graph::WeightConfig;
 //! use ci_storage::{schemas, Value};
 //!
@@ -17,20 +17,20 @@
 //! let p = db.insert(t.paper, vec![Value::text("note"), Value::int(2001)]).unwrap();
 //! db.link(t.author_paper, a, p).unwrap();
 //!
-//! let base = Engine::build(&db, CiRankConfig {
+//! let base = EngineBuilder::new(CiRankConfig {
 //!     weights: WeightConfig::dblp_default(),
 //!     ..Default::default()
-//! }).unwrap();
+//! }).build(&db).unwrap();
 //!
 //! let mut log = FeedbackLog::new();
 //! log.record_click(p, 3.0); // the paper tuple was selected three times
 //! let teleport = log.teleport_vector(&base);
 //!
-//! let biased = Engine::build(&db, CiRankConfig {
+//! let biased = EngineBuilder::new(CiRankConfig {
 //!     weights: WeightConfig::dblp_default(),
 //!     importance: ImportanceMethod::Personalized(teleport),
 //!     ..Default::default()
-//! }).unwrap();
+//! }).build(&db).unwrap();
 //! assert!(biased.importance().get(ci_graph::NodeId(1)) > 0.0);
 //! ```
 
@@ -38,7 +38,7 @@ use std::collections::HashMap;
 
 use ci_storage::TupleId;
 
-use crate::engine::Engine;
+use crate::snapshot::EngineSnapshot;
 
 /// Accumulated user feedback: per-tuple selection weight.
 #[derive(Debug, Clone, Default)]
@@ -82,14 +82,14 @@ impl FeedbackLog {
         self.clicks.is_empty()
     }
 
-    /// Converts the log into a teleportation vector over the engine's
+    /// Converts the log into a teleportation vector over the snapshot's
     /// graph nodes (merged nodes accumulate the feedback of all their
     /// tuples). Pass the result to
-    /// [`crate::ImportanceMethod::Personalized`] and rebuild the engine;
+    /// [`crate::ImportanceMethod::Personalized`] and rebuild the snapshot;
     /// the personalized walk mixes in a uniform floor, so unclicked nodes
     /// keep positive importance.
-    pub fn teleport_vector(&self, engine: &Engine) -> Vec<f64> {
-        let graph = engine.graph();
+    pub fn teleport_vector(&self, snap: &EngineSnapshot) -> Vec<f64> {
+        let graph = snap.graph();
         let mut u = vec![0.0; graph.node_count()];
         for v in graph.nodes() {
             for t in graph.tuples(v) {
@@ -111,7 +111,7 @@ impl FeedbackLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CiRankConfig, Engine, ImportanceMethod};
+    use crate::{CiRankConfig, EngineBuilder, ImportanceMethod};
     use ci_graph::WeightConfig;
     use ci_storage::{schemas, Value};
 
@@ -142,10 +142,10 @@ mod tests {
             weights: WeightConfig::dblp_default(),
             ..Default::default()
         };
-        let base = Engine::build(&db, cfg.clone()).unwrap();
+        let base = EngineBuilder::new(cfg.clone()).build(&db).unwrap();
 
         // Without feedback the two connecting papers are symmetric.
-        let answers = base.search("crane quill").unwrap();
+        let answers = base.session().search_with_stats("crane quill").unwrap().0;
         assert_eq!(answers.len(), 2);
         assert!((answers[0].score - answers[1].score).abs() < 1e-9);
 
@@ -153,15 +153,13 @@ mod tests {
         let mut log = FeedbackLog::new();
         log.record_click(p1, 5.0);
         let teleport = log.teleport_vector(&base);
-        let biased = Engine::build(
-            &db,
-            CiRankConfig {
-                importance: ImportanceMethod::Personalized(teleport),
-                ..cfg
-            },
-        )
+        let biased = EngineBuilder::new(CiRankConfig {
+            importance: ImportanceMethod::Personalized(teleport),
+            ..cfg
+        })
+        .build(&db)
         .unwrap();
-        let answers = biased.search("crane quill").unwrap();
+        let answers = biased.session().search_with_stats("crane quill").unwrap().0;
         assert!(answers[0].nodes.iter().any(|n| n.text.contains("first")));
         assert!(answers[0].score > answers[1].score);
         let _ = p2;
@@ -174,7 +172,7 @@ mod tests {
             weights: WeightConfig::dblp_default(),
             ..Default::default()
         };
-        let base = Engine::build(&db, cfg).unwrap();
+        let base = EngineBuilder::new(cfg).build(&db).unwrap();
         let mut log = FeedbackLog::new();
         log.record_answer(&[p1, TupleId::new(p1.table, 99)], 2.0);
         assert_eq!(log.len(), 2);
@@ -191,7 +189,7 @@ mod tests {
             weights: WeightConfig::dblp_default(),
             ..Default::default()
         };
-        let base = Engine::build(&db, cfg).unwrap();
+        let base = EngineBuilder::new(cfg).build(&db).unwrap();
         let log = FeedbackLog::new();
         assert!(log.is_empty());
         let u = log.teleport_vector(&base);

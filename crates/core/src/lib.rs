@@ -10,7 +10,7 @@
 //! whose nodes are individually important *and* cohesively connected —
 //! including the free connector nodes IR-style rankers ignore.
 //!
-//! The [`Engine`] ties the subsystem crates together:
+//! The engine ties the subsystem crates together:
 //!
 //! * `ci-storage` — relational substrate;
 //! * `ci-graph` — the weighted data graph (Table II edge weights,
@@ -24,30 +24,28 @@
 //!
 //! # Lifecycle: builder → snapshot → session
 //!
-//! Construction and querying are separate layers:
+//! There is one way to build and one way to query:
 //!
 //! 1. [`EngineBuilder`] runs the staged build pipeline (graph → text
-//!    index → importance → prestige → dampening → distance index) and
-//!    produces an…
+//!    index → importance → prestige → dampening → distance index):
+//!    `EngineBuilder::new(cfg).build(&db)` produces an…
 //! 2. [`EngineSnapshot`] — an immutable, `Send + Sync`, query-ready view
 //!    of one database. The snapshot owns everything queries share: the
 //!    graph, the text index, the importance/prestige vectors, the
 //!    precomputed dampening rates, and the distance index. Share it
-//!    across threads behind an `Arc`; every query method takes `&self`.
-//! 3. [`QuerySession`] holds what a single caller must *not* share:
-//!    the per-query [`QueryBudget`] (expansion / wall-clock /
+//!    across threads behind an `Arc`; every method takes `&self`.
+//! 3. [`QuerySession`] (from [`EngineSnapshot::session`]) runs the
+//!    queries and holds what a single caller must *not* share: the
+//!    per-query [`QueryBudget`] (expansion / wall-clock /
 //!    candidate-memory limits, reported uniformly through
 //!    [`ci_search::SearchStats::truncation`]) and a memo cache for
-//!    distance-oracle probes.
-//!
-//! [`Engine`] is the convenience façade: an `Arc<EngineSnapshot>` that
-//! dereferences to the snapshot, so the three layers collapse to
-//! `Engine::build(..)` + `engine.search(..)` when the defaults fit.
+//!    distance-oracle probes. Sessions are cheap: open one per query,
+//!    or keep one per thread so its caches stay warm.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use ci_rank::{CiRankConfig, Engine};
+//! use ci_rank::{CiRankConfig, EngineBuilder};
 //! use ci_storage::{schemas, Value};
 //! use ci_graph::WeightConfig;
 //!
@@ -65,8 +63,9 @@
 //!     weights: WeightConfig::dblp_default(),
 //!     ..Default::default()
 //! };
-//! let engine = Engine::build(&db, cfg).unwrap();
-//! let answers = engine.search("yu shi").unwrap();
+//! let snap = EngineBuilder::new(cfg).build(&db).unwrap();
+//! let (answers, stats) = snap.session().search_with_stats("yu shi").unwrap();
+//! assert!(stats.truncation.is_none()); // an exact top-k
 //! assert_eq!(answers.len(), 1);
 //! assert_eq!(answers[0].nodes.len(), 3); // author — paper — author
 //! ```
@@ -88,10 +87,8 @@
     )
 )]
 
-mod budget;
 mod builder;
 mod config;
-mod engine;
 mod error;
 mod explain;
 pub mod feedback;
@@ -100,10 +97,12 @@ mod ranker;
 mod session;
 mod snapshot;
 
-pub use budget::{QueryBudget, TruncationReason};
+// Budgets are enforced inside the search loops; re-exported so sessions
+// can be configured without naming `ci_search`.
+pub use ci_search::{QueryBudget, TruncationReason};
+
 pub use builder::{BuildStage, EngineBuilder, StageReport};
 pub use config::{CiRankConfig, ImportanceMethod, IndexKind};
-pub use engine::Engine;
 pub use error::CiRankError;
 pub use explain::ExplainReport;
 pub use metrics::{MetricsRegistry, MetricsSnapshot, LATENCY_BUCKETS, LATENCY_BUCKET_BOUNDS_US};

@@ -135,11 +135,11 @@ fn score_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CiRankConfig, Engine};
+    use crate::{CiRankConfig, EngineBuilder, EngineSnapshot};
     use ci_graph::WeightConfig;
     use ci_storage::{schemas, Value};
 
-    fn engine() -> Engine {
+    fn engine() -> EngineSnapshot {
         let (mut db, t) = schemas::dblp();
         let a1 = db.insert(t.author, vec![Value::text("ada crane")]).unwrap();
         let a2 = db.insert(t.author, vec![Value::text("bo quill")]).unwrap();
@@ -169,20 +169,18 @@ mod tests {
                 .unwrap();
             db.link(t.cites, c, p2).unwrap();
         }
-        Engine::build(
-            &db,
-            CiRankConfig {
-                weights: WeightConfig::dblp_default(),
-                ..Default::default()
-            },
-        )
+        EngineBuilder::new(CiRankConfig {
+            weights: WeightConfig::dblp_default(),
+            ..Default::default()
+        })
+        .build(&db)
         .unwrap()
     }
 
     #[test]
     fn rankers_disagree_as_the_paper_describes() {
         let e = engine();
-        let pool = e.candidate_pool("crane quill", 10).unwrap();
+        let pool = e.session().candidate_pool("crane quill", 10).unwrap();
         assert_eq!(pool.len(), 2);
 
         let ci = e.rank("crane quill", &pool, Ranker::CiRank).unwrap();
@@ -201,7 +199,7 @@ mod tests {
     #[test]
     fn all_rankers_produce_full_rankings() {
         let e = engine();
-        let pool = e.candidate_pool("crane quill", 10).unwrap();
+        let pool = e.session().candidate_pool("crane quill", 10).unwrap();
         for ranker in [
             Ranker::CiRank,
             Ranker::Spark,
@@ -221,7 +219,7 @@ mod tests {
     #[test]
     fn hybrid_interpolates_between_parents() {
         let e = engine();
-        let pool = e.candidate_pool("crane quill", 10).unwrap();
+        let pool = e.session().candidate_pool("crane quill", 10).unwrap();
         let pure_ci = e
             .rank("crane quill", &pool, Ranker::Hybrid { ci_weight: 1.0 })
             .unwrap();

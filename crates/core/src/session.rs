@@ -21,17 +21,17 @@ use crate::Result;
 /// `!Sync`; snapshots are what cross threads, one session per thread.
 ///
 /// ```
-/// # use ci_rank::{CiRankConfig, Engine, QueryBudget};
+/// # use ci_rank::{CiRankConfig, EngineBuilder, QueryBudget};
 /// # use ci_storage::{schemas, Value};
 /// # use ci_graph::WeightConfig;
 /// # let (mut db, t) = schemas::dblp();
 /// # let a = db.insert(t.author, vec![Value::text("Yu")]).unwrap();
 /// # let p = db.insert(t.paper, vec![Value::text("CI-Rank"), Value::int(2012)]).unwrap();
 /// # db.link(t.author_paper, a, p).unwrap();
-/// # let engine = Engine::build(&db, CiRankConfig {
+/// # let snap = EngineBuilder::new(CiRankConfig {
 /// #     weights: WeightConfig::dblp_default(), ..Default::default()
-/// # }).unwrap();
-/// let session = engine
+/// # }).build(&db).unwrap();
+/// let session = snap
 ///     .session()
 ///     .with_budget(QueryBudget::default().with_max_expansions(10_000));
 /// let (answers, stats) = session.search_with_stats("yu").unwrap();
@@ -112,58 +112,52 @@ impl<'s> QuerySession<'s> {
     /// Branch-and-bound top-k under this session's options and budget,
     /// returning raw answers plus statistics.
     pub fn run_bnb(&self, spec: &QuerySpec) -> (Vec<Answer>, SearchStats) {
+        self.run_bnb_with(spec, &self.opts)
+    }
+
+    fn run_bnb_with(&self, spec: &QuerySpec, opts: &SearchOptions) -> (Vec<Answer>, SearchStats) {
         let scorer = self.snap.scorer();
         self.snap.with_oracle(BnbRun {
             scorer: &scorer,
             spec,
-            opts: &self.opts,
+            opts,
             cache: &self.cache,
             scratch: &self.scratch,
         })
     }
 
-    /// Top-k search with the CI-Rank scoring function (branch-and-bound).
-    pub fn search(&self, query: &str) -> Result<Vec<RankedAnswer>> {
-        self.search_with_stats(query).map(|(a, _)| a)
-    }
-
-    /// Like [`QuerySession::search`], also returning search statistics
-    /// (including [`SearchStats::truncation`] when the budget cut the run
-    /// short). Every call — success or error — is folded into the
-    /// snapshot's [`crate::MetricsRegistry`].
+    /// Top-k search with the CI-Rank scoring function (branch-and-bound),
+    /// returning the ranked answers and the run's statistics — check
+    /// [`SearchStats::truncation`] to tell an exact top-k from one the
+    /// budget cut short. Every call — success or error — is folded into
+    /// the snapshot's [`crate::MetricsRegistry`].
     pub fn search_with_stats(&self, query: &str) -> Result<(Vec<RankedAnswer>, SearchStats)> {
-        let start = Instant::now();
-        let spec = match self.snap.query_spec(query) {
-            Ok(spec) => spec,
-            Err(e) => {
-                self.snap.metrics().record_error();
-                return Err(e);
-            }
-        };
-        let (answers, stats) = self.run_bnb(&spec);
-        let ranked: Vec<RankedAnswer> = answers
-            .into_iter()
-            .map(|a| self.snap.to_ranked(&spec, a))
-            .collect();
-        self.snap
-            .metrics()
-            .record_search(&stats, ranked.len(), start.elapsed());
-        Ok((ranked, stats))
+        self.ranked(query, |spec| self.run_bnb(spec))
     }
 
-    /// Top-k search with the naive algorithm of §IV-A. Recorded in the
-    /// snapshot's serving metrics like the branch-and-bound path.
+    /// Top-k search with the naive algorithm of §IV-A (the Fig. 10
+    /// comparison). The stats report whether enumeration caps or the
+    /// budget cut the run short; recorded in the serving metrics like
+    /// [`QuerySession::search_with_stats`].
     pub fn search_naive(&self, query: &str) -> Result<(Vec<RankedAnswer>, SearchStats)> {
+        self.ranked(query, |spec| {
+            naive_search(&self.snap.scorer(), spec, &self.opts)
+        })
+    }
+
+    /// Resolves `query`, runs `search` on its spec, attaches display
+    /// payloads to the answers, and records the call in the metrics.
+    fn ranked(
+        &self,
+        query: &str,
+        search: impl FnOnce(&QuerySpec) -> (Vec<Answer>, SearchStats),
+    ) -> Result<(Vec<RankedAnswer>, SearchStats)> {
         let start = Instant::now();
-        let spec = match self.snap.query_spec(query) {
-            Ok(spec) => spec,
-            Err(e) => {
-                self.snap.metrics().record_error();
-                return Err(e);
-            }
-        };
-        let scorer = self.snap.scorer();
-        let (answers, stats) = naive_search(&scorer, &spec, &self.opts);
+        let spec = self
+            .snap
+            .query_spec(query)
+            .inspect_err(|_| self.snap.metrics().record_error())?;
+        let (answers, stats) = search(&spec);
         let ranked: Vec<RankedAnswer> = answers
             .into_iter()
             .map(|a| self.snap.to_ranked(&spec, a))
@@ -174,23 +168,18 @@ impl<'s> QuerySession<'s> {
         Ok((ranked, stats))
     }
 
-    /// Generates a candidate pool of up to `pool_k` answers via
-    /// branch-and-bound (see [`EngineSnapshot::candidate_pool`]).
+    /// Generates a candidate pool of up to `pool_k` answers (the top
+    /// `pool_k` by CI score, via branch-and-bound). The evaluation harness
+    /// re-ranks this common pool with every competing scoring function
+    /// ([`EngineSnapshot::rank`]), mirroring the paper's §VI setup where
+    /// all rankers score the same generated answers.
     pub fn candidate_pool(&self, query: &str, pool_k: usize) -> Result<Vec<Answer>> {
         let spec = self.snap.query_spec(query)?;
-        let scorer = self.snap.scorer();
         let opts = SearchOptions {
             k: pool_k,
             ..self.opts.clone()
         };
-        let (answers, _) = self.snap.with_oracle(BnbRun {
-            scorer: &scorer,
-            spec: &spec,
-            opts: &opts,
-            cache: &self.cache,
-            scratch: &self.scratch,
-        });
-        Ok(answers)
+        Ok(self.run_bnb_with(&spec, &opts).0)
     }
 }
 
@@ -226,5 +215,94 @@ impl OracleVisitor for BnbRun<'_> {
             bnb_search_in(self.scorer, self.spec, &cached, self.opts, &mut scratch);
         stats.cache = Some(self.cache.stats().delta_since(&before));
         (answers, stats)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use crate::snapshot::tests::tsimmis_snapshot;
+    use crate::{QueryBudget, TruncationReason};
+
+    const QUERY: &str = "papakonstantinou ullman";
+
+    #[test]
+    fn naive_and_bnb_agree_end_to_end() {
+        let snap = tsimmis_snapshot();
+        let session = snap.session();
+        let (bnb, _) = session.search_with_stats(QUERY).unwrap();
+        let (naive, stats) = session.search_naive(QUERY).unwrap();
+        assert!(!stats.truncated());
+        assert_eq!(bnb.len(), naive.len());
+        for (a, b) in bnb.iter().zip(&naive) {
+            assert!((a.score - b.score).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn session_budget_truncates_but_stays_valid() {
+        // An already-expired deadline must deterministically yield a
+        // truncated (possibly empty) but valid result, never an error.
+        let snap = tsimmis_snapshot();
+        let session = snap
+            .session()
+            .with_budget(QueryBudget::default().with_timeout(Duration::ZERO));
+        let (answers, stats) = session.search_with_stats(QUERY).unwrap();
+        assert_eq!(
+            stats.truncation,
+            Some(TruncationReason::Deadline),
+            "expired deadline must be reported"
+        );
+        for a in &answers {
+            assert!(a.score.is_finite());
+            assert!(!a.nodes.is_empty());
+        }
+        // A generous budget returns the full answer set with no truncation.
+        let generous = snap
+            .session()
+            .with_budget(QueryBudget::default().with_max_expansions(1_000_000));
+        let (full, stats) = generous.search_with_stats(QUERY).unwrap();
+        assert!(stats.truncation.is_none());
+        assert_eq!(full.len(), 2);
+    }
+
+    #[test]
+    fn session_oracle_cache_fills_across_runs() {
+        let snap = tsimmis_snapshot();
+        let session = snap.session();
+        assert!(session.oracle_cache().is_empty());
+        session.search_with_stats(QUERY).unwrap();
+        let after_first = session.oracle_cache().len();
+        assert!(after_first > 0, "bnb probes the oracle through the cache");
+        // A repeat of the same query adds no new pairs.
+        session.search_with_stats(QUERY).unwrap();
+        assert_eq!(session.oracle_cache().len(), after_first);
+    }
+
+    #[test]
+    fn candidate_pool_overrides_k_only() {
+        let snap = tsimmis_snapshot();
+        let session = snap.session();
+        let (ranked, _) = session.search_with_stats(QUERY).unwrap();
+        let pool = session.candidate_pool(QUERY, 1).unwrap();
+        assert_eq!(pool.len(), 1);
+        assert_eq!(pool[0].score.to_bits(), ranked[0].score.to_bits());
+        assert_eq!(session.candidate_pool(QUERY, 10).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn k_zero_returns_no_answers_without_panicking() {
+        let snap = tsimmis_snapshot();
+        let session = snap.session().with_options(ci_search::SearchOptions {
+            k: 0,
+            ..snap.config().search_options()
+        });
+        let (bnb, stats) = session.search_with_stats(QUERY).unwrap();
+        assert!(bnb.is_empty());
+        assert!(stats.truncation.is_none());
+        let (naive, _) = session.search_naive(QUERY).unwrap();
+        assert!(naive.is_empty());
+        assert!(snap.session().candidate_pool(QUERY, 0).unwrap().is_empty());
     }
 }

@@ -5,11 +5,9 @@ use ci_graph::{Graph, NodeId};
 use ci_index::{DistIndex, OracleVisitor};
 use ci_rwmp::{Dampening, Jtt, Scorer};
 use ci_search::{Answer, QuerySpec, SearchStats, MAX_KEYWORDS};
-use ci_storage::Database;
 use ci_text::{tokenize, InvertedIndex};
 use ci_walk::Importance;
 
-use crate::builder::EngineBuilder;
 use crate::config::CiRankConfig;
 use crate::error::CiRankError;
 use crate::explain::ExplainReport;
@@ -60,7 +58,7 @@ impl fmt::Display for RankedAnswer {
 /// index, importance and prestige vectors, the precomputed dampening
 /// rates, and the configured distance index.
 ///
-/// Snapshots are produced by [`EngineBuilder`]'s staged pipeline, never
+/// Snapshots are produced by [`crate::EngineBuilder::build`], never
 /// mutated afterwards, and are `Send + Sync` — wrap one in an
 /// [`std::sync::Arc`] and serve queries from as many threads as you like;
 /// every query method takes `&self`. Per-query mutable state (budgets,
@@ -102,12 +100,6 @@ impl fmt::Debug for EngineSnapshot {
 }
 
 impl EngineSnapshot {
-    /// Runs the staged build pipeline — shorthand for
-    /// [`EngineBuilder::new`] + [`EngineBuilder::build`].
-    pub fn build(db: &Database, cfg: CiRankConfig) -> Result<EngineSnapshot> {
-        EngineBuilder::new(cfg).build(db)
-    }
-
     /// Final assembly from the builder's stage outputs.
     #[allow(clippy::too_many_arguments)] // one argument per pipeline stage
     pub(crate) fn assemble(
@@ -179,7 +171,7 @@ impl EngineSnapshot {
     }
 
     /// Display name of a node's relation (table).
-    pub(crate) fn relation_name(&self, v: NodeId) -> String {
+    fn relation_name(&self, v: NodeId) -> String {
         self.relation_names
             .get(self.graph.relation(v) as usize)
             .cloned()
@@ -253,33 +245,16 @@ impl EngineSnapshot {
         Ok(QuerySpec::from_matches(&scorer, keywords, matches))
     }
 
-    /// Top-k search with the CI-Rank scoring function (branch-and-bound).
-    pub fn search(&self, query: &str) -> Result<Vec<RankedAnswer>> {
-        self.search_with_stats(query).map(|(a, _)| a)
-    }
-
-    /// Like [`EngineSnapshot::search`], also returning search statistics.
+    /// One-shot branch-and-bound top-k on a fresh [`QuerySession`] — the
+    /// same as `self.session().search_with_stats(query)`. Callers issuing
+    /// many queries should hold a session, which keeps its oracle cache
+    /// and candidate pool warm.
     pub fn search_with_stats(&self, query: &str) -> Result<(Vec<RankedAnswer>, SearchStats)> {
         self.session().search_with_stats(query)
     }
 
-    /// Top-k search with the naive algorithm of §IV-A (for the Fig. 10
-    /// comparison). The stats report whether enumeration caps or the
-    /// budget cut the run short.
-    pub fn search_naive(&self, query: &str) -> Result<(Vec<RankedAnswer>, SearchStats)> {
-        self.session().search_naive(query)
-    }
-
-    /// Generates a candidate pool of up to `pool_k` answers (the top
-    /// `pool_k` by CI score, via branch-and-bound). The evaluation harness
-    /// re-ranks this common pool with every competing scoring function,
-    /// mirroring the paper's §VI setup where all rankers score the same
-    /// generated answers.
-    pub fn candidate_pool(&self, query: &str, pool_k: usize) -> Result<Vec<Answer>> {
-        self.session().candidate_pool(query, pool_k)
-    }
-
-    /// Re-ranks a candidate pool with the chosen ranker.
+    /// Re-ranks a candidate pool (see [`QuerySession::candidate_pool`])
+    /// with the chosen ranker.
     pub fn rank(&self, query: &str, pool: &[Answer], ranker: Ranker) -> Result<Vec<RankedAnswer>> {
         let spec = self.query_spec(query)?;
         let scorer = self.scorer();
@@ -296,17 +271,6 @@ impl EngineSnapshot {
             .into_iter()
             .map(|(tree, score)| self.to_ranked(&spec, Answer { tree, score }))
             .collect())
-    }
-
-    /// Convenience: pool generation plus re-ranking in one call.
-    pub fn search_ranked(
-        &self,
-        query: &str,
-        ranker: Ranker,
-        pool_k: usize,
-    ) -> Result<Vec<RankedAnswer>> {
-        let pool = self.candidate_pool(query, pool_k)?;
-        self.rank(query, &pool, ranker)
     }
 
     /// Runs BANKS end to end as an independent search strategy: backward
@@ -360,27 +324,23 @@ impl EngineSnapshot {
         let scorer = self.scorer();
         let explanation =
             ci_search::explain_answer(&scorer, &spec, tree).ok_or(CiRankError::NotAnAnswer)?;
-        let nodes = tree
-            .nodes()
-            .iter()
-            .map(|&v| AnswerNode {
-                node: v,
-                relation: self.relation_name(v),
-                text: self.node_text(v).to_owned(),
-                is_matcher: spec.matcher(v).is_some(),
-            })
-            .collect();
         Ok(ExplainReport {
             explanation,
-            nodes,
+            nodes: self.answer_nodes(&spec, tree),
             keywords: spec.keywords().to_vec(),
         })
     }
 
     pub(crate) fn to_ranked(&self, spec: &QuerySpec, answer: Answer) -> RankedAnswer {
-        let nodes = answer
-            .tree
-            .nodes()
+        RankedAnswer {
+            score: answer.score,
+            nodes: self.answer_nodes(spec, &answer.tree),
+            tree: answer.tree,
+        }
+    }
+
+    fn answer_nodes(&self, spec: &QuerySpec, tree: &Jtt) -> Vec<AnswerNode> {
+        tree.nodes()
             .iter()
             .map(|&v| AnswerNode {
                 node: v,
@@ -388,11 +348,317 @@ impl EngineSnapshot {
                 text: self.node_text(v).to_owned(),
                 is_matcher: spec.matcher(v).is_some(),
             })
-            .collect();
-        RankedAnswer {
-            score: answer.score,
-            tree: answer.tree,
-            nodes,
+            .collect()
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::config::ImportanceMethod;
+    use crate::{EngineBuilder, IndexKind};
+    use ci_graph::WeightConfig;
+    use ci_storage::{schemas, Database, Value};
+
+    /// Two authors, two shared papers of very different citation counts
+    /// — the paper's running example.
+    fn tsimmis_db() -> Database {
+        let (mut db, t) = schemas::dblp();
+        let a1 = db
+            .insert(t.author, vec![Value::text("Yannis Papakonstantinou")])
+            .unwrap();
+        let a2 = db
+            .insert(t.author, vec![Value::text("Jeffrey Ullman")])
+            .unwrap();
+        let weak = db
+            .insert(
+                t.paper,
+                vec![
+                    Value::text("Capability Based Mediation in TSIMMIS"),
+                    Value::int(1997),
+                ],
+            )
+            .unwrap();
+        let strong = db
+            .insert(
+                t.paper,
+                vec![
+                    Value::text(
+                        "The TSIMMIS Project Integration of Heterogeneous Information Sources",
+                    ),
+                    Value::int(1995),
+                ],
+            )
+            .unwrap();
+        for p in [weak, strong] {
+            db.link(t.author_paper, a1, p).unwrap();
+            db.link(t.author_paper, a2, p).unwrap();
         }
+        // Citations: 7 for the weak paper, 38 for the strong one.
+        for i in 0..45 {
+            let citing = db
+                .insert(
+                    t.paper,
+                    vec![
+                        Value::text(format!("citing paper {i}")),
+                        Value::int(2000 + i),
+                    ],
+                )
+                .unwrap();
+            let target = if i < 7 { weak } else { strong };
+            db.link(t.cites, citing, target).unwrap();
+        }
+        db
+    }
+
+    fn build(cfg: CiRankConfig) -> EngineSnapshot {
+        EngineBuilder::new(CiRankConfig {
+            weights: WeightConfig::dblp_default(),
+            ..cfg
+        })
+        .build(&tsimmis_db())
+        .unwrap()
+    }
+
+    /// The running example under the DBLP weights and default settings.
+    pub(crate) fn tsimmis_snapshot() -> EngineSnapshot {
+        build(CiRankConfig::default())
+    }
+
+    fn search(snap: &EngineSnapshot, query: &str) -> Vec<RankedAnswer> {
+        snap.session().search_with_stats(query).unwrap().0
+    }
+
+    #[test]
+    fn tsimmis_example_ranks_the_cited_paper_first() {
+        let snap = tsimmis_snapshot();
+        let (answers, stats) = snap.search_with_stats("papakonstantinou ullman").unwrap();
+        assert!(stats.truncation.is_none());
+        assert_eq!(answers.len(), 2, "two connecting papers");
+        let top_paper = answers[0]
+            .nodes
+            .iter()
+            .find(|n| n.relation == "paper")
+            .expect("paper connects the authors");
+        assert!(
+            top_paper.text.contains("Heterogeneous"),
+            "the 38-citation paper must rank first, got {:?}",
+            top_paper.text
+        );
+        assert!(answers[0].score > answers[1].score);
+    }
+
+    #[test]
+    fn empty_query_rejected() {
+        let snap = tsimmis_snapshot();
+        assert_eq!(
+            snap.search_with_stats("  ...  ").unwrap_err(),
+            CiRankError::EmptyQuery
+        );
+    }
+
+    #[test]
+    fn unmatched_keyword_yields_no_answers() {
+        let snap = tsimmis_snapshot();
+        assert!(search(&snap, "papakonstantinou zzzzz").is_empty());
+    }
+
+    #[test]
+    fn banks_search_end_to_end() {
+        let snap = tsimmis_snapshot();
+        let answers = snap.search_banks("papakonstantinou ullman").unwrap();
+        assert!(!answers.is_empty());
+        for a in &answers {
+            // Every BANKS answer covers both keywords.
+            for kw in ["papakonstantinou", "ullman"] {
+                assert!(
+                    a.tree
+                        .nodes()
+                        .iter()
+                        .any(|&v| snap.text_index().tf(kw, v.0) > 0),
+                    "answer misses {kw:?}"
+                );
+            }
+            assert!(a.score > 0.0);
+        }
+        for w in answers.windows(2) {
+            assert!(w[0].score >= w[1].score);
+        }
+        // Unanswerable query is clean.
+        assert!(snap
+            .search_banks("papakonstantinou zzz")
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
+    fn explain_breaks_down_the_score() {
+        let snap = tsimmis_snapshot();
+        let answers = search(&snap, "papakonstantinou ullman");
+        let report = snap
+            .explain("papakonstantinou ullman", &answers[0].tree)
+            .unwrap();
+        let sources = &report.explanation.sources;
+        assert_eq!(sources.len(), 2, "two matchers in the answer");
+        for s in sources {
+            assert!(s.generation > 0.0);
+            assert!(s.node_score > 0.0);
+            assert!(s.node_score <= s.generation * 10.0);
+        }
+        for x in &report.explanation.nodes {
+            assert!(x.importance > 0.0);
+            assert!(x.dampening > 0.0 && x.dampening < 1.0);
+        }
+        // The tree score is exactly the mean of node scores — and the
+        // report's score replays the ranked score bit for bit.
+        let mean: f64 = sources.iter().map(|s| s.node_score).sum::<f64>() / sources.len() as f64;
+        assert!((mean - answers[0].score).abs() < 1e-9);
+        assert_eq!(report.score().to_bits(), answers[0].score.to_bits());
+        // A tree with no matchers is not an answer and cannot be explained.
+        let err = snap.explain("zzzz qqqq", &answers[0].tree).unwrap_err();
+        assert_eq!(err, CiRankError::NotAnAnswer);
+    }
+
+    #[test]
+    fn ranked_answers_display() {
+        let snap = tsimmis_snapshot();
+        let answers = search(&snap, "tsimmis");
+        assert!(!answers.is_empty());
+        let s = answers[0].to_string();
+        assert!(s.contains("paper"));
+        assert!(s.starts_with('['));
+    }
+
+    #[test]
+    fn index_kinds_agree() {
+        for index in [
+            IndexKind::None,
+            IndexKind::Naive,
+            IndexKind::Star { relations: None },
+        ] {
+            let snap = build(CiRankConfig {
+                index,
+                ..Default::default()
+            });
+            let answers = search(&snap, "papakonstantinou ullman");
+            assert_eq!(answers.len(), 2);
+            assert!(answers[0]
+                .nodes
+                .iter()
+                .any(|n| n.text.contains("Heterogeneous")));
+        }
+    }
+
+    #[test]
+    fn monte_carlo_importance_works() {
+        let snap = build(CiRankConfig {
+            importance: ImportanceMethod::MonteCarlo {
+                walks_per_node: 300,
+                seed: 5,
+            },
+            ..Default::default()
+        });
+        let answers = search(&snap, "papakonstantinou ullman");
+        assert_eq!(answers.len(), 2);
+        assert!(answers[0]
+            .nodes
+            .iter()
+            .any(|n| n.text.contains("Heterogeneous")));
+    }
+
+    #[test]
+    fn personalized_importance_biases_results() {
+        let base = tsimmis_snapshot();
+        // Bias all teleport mass onto the weak paper's node.
+        let weak_node = base
+            .graph()
+            .nodes()
+            .find(|&v| base.node_text(v).contains("Capability"))
+            .unwrap();
+        let mut u = vec![0.0; base.graph().node_count()];
+        u[weak_node.idx()] = 1.0;
+        let biased = build(CiRankConfig {
+            importance: ImportanceMethod::Personalized(u),
+            ..Default::default()
+        });
+        let answers = search(&biased, "papakonstantinou ullman");
+        let top_paper = answers[0]
+            .nodes
+            .iter()
+            .find(|n| n.relation == "paper")
+            .unwrap();
+        assert!(
+            top_paper.text.contains("Capability"),
+            "feedback bias flips the ranking"
+        );
+    }
+
+    #[test]
+    fn dampening_vector_shared_by_scorer_index_and_explain() {
+        // The snapshot stores the dampening rates once; the scorer serves
+        // them verbatim, a fresh on-demand scorer agrees bit-for-bit, and
+        // explanations expose the same values.
+        let snap = tsimmis_snapshot();
+        let stored = snap.dampening_vector();
+        assert_eq!(stored.len(), snap.graph().node_count());
+        let scorer = snap.scorer();
+        let fresh = Scorer::new(
+            snap.graph(),
+            snap.importance().values(),
+            snap.importance().min(),
+            Dampening::Logarithmic {
+                alpha: snap.config().alpha,
+                g: snap.config().g,
+            },
+        );
+        for v in snap.graph().nodes() {
+            assert_eq!(stored[v.idx()], scorer.dampening(v));
+            assert_eq!(stored[v.idx()], fresh.dampening(v));
+        }
+        let answers = search(&snap, "papakonstantinou ullman");
+        let report = snap
+            .explain("papakonstantinou ullman", &answers[0].tree)
+            .unwrap();
+        for x in &report.explanation.nodes {
+            assert_eq!(x.dampening, stored[x.node.idx()]);
+        }
+    }
+
+    #[test]
+    fn query_spec_is_deterministic() {
+        // Matcher resolution sorts by node id, so repeated resolution
+        // yields identical specs (the HashMap it draws from has no
+        // iteration-order guarantee).
+        let snap = tsimmis_snapshot();
+        let a = snap.query_spec("papakonstantinou ullman tsimmis").unwrap();
+        for _ in 0..10 {
+            let b = snap.query_spec("papakonstantinou ullman tsimmis").unwrap();
+            assert_eq!(a.matchers_sorted(), b.matchers_sorted());
+            assert_eq!(
+                a.keywords(),
+                b.keywords(),
+                "keyword order is input order, not map order"
+            );
+        }
+    }
+
+    #[test]
+    fn parse_query_enforces_the_keyword_cap() {
+        // 32 distinct keywords pass; 33 trip TooManyKeywords (the u32
+        // keyword-mask width, see ci_search::MAX_KEYWORDS).
+        let snap = tsimmis_snapshot();
+        let q32 = (0..32)
+            .map(|i| format!("kw{i}"))
+            .collect::<Vec<_>>()
+            .join(" ");
+        assert_eq!(snap.parse_query(&q32).unwrap().len(), 32);
+        let q33 = (0..33)
+            .map(|i| format!("kw{i}"))
+            .collect::<Vec<_>>()
+            .join(" ");
+        assert_eq!(
+            snap.parse_query(&q33).unwrap_err(),
+            CiRankError::TooManyKeywords(33)
+        );
     }
 }

@@ -18,7 +18,7 @@
 use std::time::Instant;
 
 use ci_datagen::{dblp_workload, generate_dblp, generate_imdb, imdb_synthetic_workload};
-use ci_rank::Engine;
+use ci_rank::{EngineBuilder, EngineSnapshot};
 
 use crate::setup::{EvalConfig, Harness};
 use crate::table::Table;
@@ -54,7 +54,8 @@ pub fn run(cfg: &EvalConfig) -> Table {
         imdb_cfg.producers *= factor;
         imdb_cfg.companies *= factor;
         let data = generate_imdb(imdb_cfg);
-        let engine = Engine::build(&data.db, Harness::imdb_engine_config(&data, &tweak))
+        let engine = EngineBuilder::new(Harness::imdb_engine_config(&data, &tweak))
+            .build(&data.db)
             .expect("generated data is non-empty");
         let queries = imdb_synthetic_workload(&data, QUERIES, cfg.seed + 20);
         let (naive_ms, bnb_ms) = time_both(&engine, &queries);
@@ -66,7 +67,8 @@ pub fn run(cfg: &EvalConfig) -> Table {
         dblp_cfg.papers *= factor;
         dblp_cfg.authors *= factor;
         let data = generate_dblp(dblp_cfg);
-        let engine = Engine::build(&data.db, Harness::dblp_engine_config(&tweak))
+        let engine = EngineBuilder::new(Harness::dblp_engine_config(&tweak))
+            .build(&data.db)
             .expect("generated data is non-empty");
         let queries = dblp_workload(&data, QUERIES, cfg.seed + 21);
         let (naive_ms, bnb_ms) = time_both(&engine, &queries);
@@ -76,17 +78,17 @@ pub fn run(cfg: &EvalConfig) -> Table {
     table
 }
 
-fn time_both(engine: &Engine, queries: &[ci_datagen::LabeledQuery]) -> (f64, f64) {
+fn time_both(engine: &EngineSnapshot, queries: &[ci_datagen::LabeledQuery]) -> (f64, f64) {
     let mut naive_total = 0.0;
     let mut bnb_total = 0.0;
     let mut n = 0usize;
     for q in queries {
         let query = q.keywords.join(" ");
         let t0 = Instant::now();
-        let naive_ok = engine.search_naive(&query).is_ok();
+        let naive_ok = engine.session().search_naive(&query).is_ok();
         let naive_ms = t0.elapsed().as_secs_f64() * 1e3;
         let t1 = Instant::now();
-        let bnb_ok = engine.search(&query).is_ok();
+        let bnb_ok = engine.session().search_with_stats(&query).is_ok();
         let bnb_ms = t1.elapsed().as_secs_f64() * 1e3;
         if naive_ok && bnb_ok {
             naive_total += naive_ms;

@@ -17,7 +17,7 @@ use std::time::Instant;
 use ci_datagen::{
     dblp_workload, generate_dblp, generate_imdb, imdb_synthetic_workload, LabeledQuery,
 };
-use ci_rank::{CiRankConfig, Engine, IndexKind};
+use ci_rank::{CiRankConfig, EngineBuilder, EngineSnapshot, IndexKind};
 use ci_storage::Database;
 
 use crate::setup::{EvalConfig, EvalScale, Harness};
@@ -86,8 +86,11 @@ fn run_one(
         vec!["D", "upbound_ms", "upbound_index_ms", "index_speedup"],
     );
     for &d in DIAMETERS {
-        let plain = Engine::build(db, make_cfg(d, &IndexKind::None)).expect("non-empty data");
-        let indexed = Engine::build(db, make_cfg(d, &IndexKind::Star { relations: None }))
+        let plain = EngineBuilder::new(make_cfg(d, &IndexKind::None))
+            .build(db)
+            .expect("non-empty data");
+        let indexed = EngineBuilder::new(make_cfg(d, &IndexKind::Star { relations: None }))
+            .build(db)
             .expect("non-empty data");
         let t_plain = avg_ms(&plain, queries);
         let t_indexed = avg_ms(&indexed, queries);
@@ -101,13 +104,13 @@ fn run_one(
     table
 }
 
-fn avg_ms(engine: &Engine, queries: &[LabeledQuery]) -> f64 {
+fn avg_ms(engine: &EngineSnapshot, queries: &[LabeledQuery]) -> f64 {
     let mut total = 0.0;
     let mut n = 0usize;
     for q in queries {
         let query = q.keywords.join(" ");
         let t0 = Instant::now();
-        if engine.search(&query).is_ok() {
+        if engine.session().search_with_stats(&query).is_ok() {
             total += t0.elapsed().as_secs_f64() * 1e3;
             n += 1;
         }

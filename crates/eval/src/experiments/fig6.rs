@@ -4,8 +4,7 @@
 //! Paper result: a plateau of best MRR for α ∈ [0.1, 0.25] (≈ 0.85 on
 //! IMDB, ≈ 0.82 on DBLP), degrading outside that band.
 
-use ci_rank::Engine;
-use ci_rank::Ranker;
+use ci_rank::{EngineBuilder, Ranker};
 
 use crate::setup::{effectiveness, EvalConfig, Harness};
 use crate::table::Table;
@@ -22,16 +21,14 @@ pub fn run(cfg: &EvalConfig) -> Table {
         vec!["alpha", "mrr_imdb", "mrr_dblp"],
     );
     for &alpha in ALPHAS {
-        let imdb_engine = Engine::build(
-            &base.imdb.db,
-            Harness::imdb_engine_config(&base.imdb, &|c| c.alpha = alpha),
-        )
+        let imdb_engine = EngineBuilder::new(Harness::imdb_engine_config(&base.imdb, &|c| {
+            c.alpha = alpha
+        }))
+        .build(&base.imdb.db)
         .expect("non-empty data");
-        let dblp_engine = Engine::build(
-            &base.dblp.db,
-            Harness::dblp_engine_config(&|c| c.alpha = alpha),
-        )
-        .expect("non-empty data");
+        let dblp_engine = EngineBuilder::new(Harness::dblp_engine_config(&|c| c.alpha = alpha))
+            .build(&base.dblp.db)
+            .expect("non-empty data");
         let mrr_imdb = effectiveness(
             &imdb_engine,
             &base.imdb.truth,

@@ -4,7 +4,7 @@
 //! Paper result: g ∈ [10, 20] gives the best accuracy; very small g
 //! over-dampens (the rate range widens), very large g flattens it.
 
-use ci_rank::{Engine, Ranker};
+use ci_rank::{EngineBuilder, Ranker};
 
 use crate::setup::{effectiveness, EvalConfig, Harness};
 use crate::table::Table;
@@ -21,12 +21,11 @@ pub fn run(cfg: &EvalConfig) -> Table {
         vec!["g", "mrr_imdb", "mrr_dblp"],
     );
     for &g in GS {
-        let imdb_engine = Engine::build(
-            &base.imdb.db,
-            Harness::imdb_engine_config(&base.imdb, &|c| c.g = g),
-        )
-        .expect("non-empty data");
-        let dblp_engine = Engine::build(&base.dblp.db, Harness::dblp_engine_config(&|c| c.g = g))
+        let imdb_engine = EngineBuilder::new(Harness::imdb_engine_config(&base.imdb, &|c| c.g = g))
+            .build(&base.imdb.db)
+            .expect("non-empty data");
+        let dblp_engine = EngineBuilder::new(Harness::dblp_engine_config(&|c| c.g = g))
+            .build(&base.dblp.db)
             .expect("non-empty data");
         let mrr_imdb = effectiveness(
             &imdb_engine,

@@ -30,7 +30,11 @@ pub fn run(cfg: &EvalConfig) -> Table {
     let mut buckets: HashMap<QueryPattern, Vec<Vec<f64>>> = HashMap::new();
     for q in h.imdb_synthetic.iter().chain(h.imdb_user_log.iter()) {
         let query = q.keywords.join(" ");
-        let Ok(pool) = h.imdb_engine.candidate_pool(&query, h.cfg.pool_k()) else {
+        let Ok(pool) = h
+            .imdb_engine
+            .session()
+            .candidate_pool(&query, h.cfg.pool_k())
+        else {
             continue;
         };
         if pool.is_empty() {

@@ -9,7 +9,7 @@
 //! | 4 | score not dominated by free nodes | free-node domination avoided |
 
 use ci_graph::WeightConfig;
-use ci_rank::{CiRankConfig, Engine};
+use ci_rank::{CiRankConfig, EngineBuilder, EngineSnapshot};
 use ci_storage::{schemas, Database, Value};
 
 use crate::table::Table;
@@ -41,15 +41,13 @@ pub fn run() -> Table {
     table
 }
 
-fn dblp_engine(db: &Database) -> Engine {
-    Engine::build(
-        db,
-        CiRankConfig {
-            weights: WeightConfig::dblp_default(),
-            index: ci_rank::IndexKind::None,
-            ..Default::default()
-        },
-    )
+fn dblp_engine(db: &Database) -> EngineSnapshot {
+    EngineBuilder::new(CiRankConfig {
+        weights: WeightConfig::dblp_default(),
+        index: ci_rank::IndexKind::None,
+        ..Default::default()
+    })
+    .build(db)
     .expect("non-empty database")
 }
 
@@ -79,7 +77,7 @@ fn property1() -> (f64, f64) {
         db.link(t.cites, c, strong).unwrap();
     }
     let e = dblp_engine(&db);
-    let answers = e.search("keyword search").unwrap();
+    let answers = e.session().search_with_stats("keyword search").unwrap().0;
     let score_of = |needle: &str| {
         answers
             .iter()
@@ -118,7 +116,7 @@ fn property2() -> (f64, f64) {
     db.link(t.author_paper, a2, p2).unwrap();
     db.link(t.cites, p1, p2).unwrap();
     let e = dblp_engine(&db);
-    let answers = e.search("crane quill").unwrap();
+    let answers = e.session().search_with_stats("crane quill").unwrap().0;
     let small = answers
         .iter()
         .find(|a| a.tree.size() == 3)
@@ -168,7 +166,7 @@ fn property3() -> (f64, f64) {
         db.link(t.cites, c, famous).unwrap();
     }
     let e = dblp_engine(&db);
-    let answers = e.search("crane quill").unwrap();
+    let answers = e.session().search_with_stats("crane quill").unwrap().0;
     let score_of = |needle: &str| {
         answers
             .iter()
@@ -230,17 +228,15 @@ fn property4() -> (f64, f64) {
             .unwrap();
         db.link(t.actor_movie, star, m).unwrap();
     }
-    let e = Engine::build(
-        &db,
-        CiRankConfig {
-            weights: WeightConfig::imdb_default(),
-            index: ci_rank::IndexKind::None,
-            diameter: 4,
-            ..Default::default()
-        },
-    )
+    let e = EngineBuilder::new(CiRankConfig {
+        weights: WeightConfig::imdb_default(),
+        index: ci_rank::IndexKind::None,
+        diameter: 4,
+        ..Default::default()
+    })
+    .build(&db)
     .unwrap();
-    let answers = e.search("wilson cruz").unwrap();
+    let answers = e.session().search_with_stats("wilson cruz").unwrap().0;
     let single = answers
         .iter()
         .find(|a| a.tree.size() == 1)

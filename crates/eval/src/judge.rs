@@ -2,7 +2,7 @@ use std::collections::HashMap;
 use std::collections::HashSet;
 
 use ci_datagen::GroundTruth;
-use ci_rank::Engine;
+use ci_rank::EngineSnapshot;
 use ci_search::Answer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -72,7 +72,7 @@ impl Verdict {
 /// free utilities, penalized by missing-keyword fraction (per the paper's
 /// graded relevance).
 pub fn judge_pool(
-    engine: &Engine,
+    engine: &EngineSnapshot,
     truth: &GroundTruth,
     keywords: &[String],
     pool: &[Answer],
@@ -141,7 +141,7 @@ pub fn judge_pool(
 ///
 /// The ranking functions never see these values.
 fn true_utility(
-    engine: &Engine,
+    engine: &EngineSnapshot,
     truth: &GroundTruth,
     keywords: &[String],
     answer: &Answer,
@@ -185,10 +185,10 @@ impl Verdict {
 mod tests {
     use super::*;
     use ci_graph::WeightConfig;
-    use ci_rank::CiRankConfig;
+    use ci_rank::{CiRankConfig, EngineBuilder};
     use ci_storage::{schemas, Value};
 
-    fn setup() -> (Engine, GroundTruth, Vec<String>) {
+    fn setup() -> (EngineSnapshot, GroundTruth, Vec<String>) {
         let (mut db, t) = schemas::dblp();
         let a1 = db.insert(t.author, vec![Value::text("ada crane")]).unwrap();
         let a2 = db.insert(t.author, vec![Value::text("bo quill")]).unwrap();
@@ -213,13 +213,11 @@ mod tests {
         truth.set(a2, 2.0);
         truth.set(p1, 1.0);
         truth.set(p2, 40.0);
-        let engine = Engine::build(
-            &db,
-            CiRankConfig {
-                weights: WeightConfig::dblp_default(),
-                ..Default::default()
-            },
-        )
+        let engine = EngineBuilder::new(CiRankConfig {
+            weights: WeightConfig::dblp_default(),
+            ..Default::default()
+        })
+        .build(&db)
         .unwrap();
         (engine, truth, vec!["crane".into(), "quill".into()])
     }
@@ -227,7 +225,7 @@ mod tests {
     #[test]
     fn panel_picks_the_popular_connector() {
         let (engine, truth, kw) = setup();
-        let pool = engine.candidate_pool("crane quill", 10).unwrap();
+        let pool = engine.session().candidate_pool("crane quill", 10).unwrap();
         assert_eq!(pool.len(), 2);
         let verdict = judge_pool(&engine, &truth, &kw, &pool, &JudgeConfig::default());
         assert_eq!(verdict.best.len(), 1);
@@ -253,7 +251,7 @@ mod tests {
     #[test]
     fn verdict_is_deterministic_per_seed() {
         let (engine, truth, kw) = setup();
-        let pool = engine.candidate_pool("crane quill", 10).unwrap();
+        let pool = engine.session().candidate_pool("crane quill", 10).unwrap();
         let a = judge_pool(&engine, &truth, &kw, &pool, &JudgeConfig::default());
         let b = judge_pool(&engine, &truth, &kw, &pool, &JudgeConfig::default());
         assert_eq!(a.best, b.best);
@@ -271,7 +269,7 @@ mod tests {
     #[test]
     fn extreme_noise_can_split_the_vote() {
         let (engine, truth, kw) = setup();
-        let pool = engine.candidate_pool("crane quill", 10).unwrap();
+        let pool = engine.session().candidate_pool("crane quill", 10).unwrap();
         // With huge noise, judges sometimes pick the weak answer; the
         // verdict still returns at least one best.
         let cfg = JudgeConfig {

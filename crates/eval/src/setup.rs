@@ -3,7 +3,7 @@ use ci_datagen::{
     DblpConfig, DblpData, GroundTruth, ImdbConfig, ImdbData, LabeledQuery,
 };
 use ci_graph::{MergeSpec, WeightConfig};
-use ci_rank::{CiRankConfig, Engine, Ranker};
+use ci_rank::{CiRankConfig, EngineBuilder, EngineSnapshot, Ranker};
 use ci_rwmp::Jtt;
 
 use crate::judge::{judge_pool, JudgeConfig};
@@ -132,11 +132,11 @@ pub struct Harness {
     pub imdb: ImdbData,
     /// The synthetic DBLP dataset.
     pub dblp: DblpData,
-    /// Engine over the IMDB data (Table II weights, person merge, star
+    /// Snapshot over the IMDB data (Table II weights, person merge, star
     /// index).
-    pub imdb_engine: Engine,
-    /// Engine over the DBLP data.
-    pub dblp_engine: Engine,
+    pub imdb_engine: EngineSnapshot,
+    /// Snapshot over the DBLP data.
+    pub dblp_engine: EngineSnapshot,
     /// AOL-like IMDB workload.
     pub imdb_user_log: Vec<LabeledQuery>,
     /// Synthetic IMDB workload.
@@ -162,11 +162,13 @@ impl Harness {
         // databases, and an eval harness that cannot build its engines has
         // nothing sensible to degrade to — fail fast with the build error.
         #[allow(clippy::expect_used)]
-        let imdb_engine = Engine::build(&imdb.db, Self::imdb_engine_config(&imdb, &tweak))
+        let imdb_engine = EngineBuilder::new(Self::imdb_engine_config(&imdb, &tweak))
+            .build(&imdb.db)
             .expect("generated data is non-empty");
         // LINT-EXEMPT(harness): same as the IMDB engine above.
         #[allow(clippy::expect_used)]
-        let dblp_engine = Engine::build(&dblp.db, Self::dblp_engine_config(&tweak))
+        let dblp_engine = EngineBuilder::new(Self::dblp_engine_config(&tweak))
+            .build(&dblp.db)
             .expect("generated data is non-empty");
         let imdb_user_log =
             imdb_user_log_workload(&imdb, cfg.query_count(true), cfg.seed.wrapping_add(1));
@@ -226,7 +228,7 @@ impl Harness {
     /// judge panel, re-rank with each ranker, aggregate MRR and precision.
     pub fn effectiveness(
         &self,
-        engine: &Engine,
+        engine: &EngineSnapshot,
         truth: &GroundTruth,
         queries: &[LabeledQuery],
         rankers: &[Ranker],
@@ -245,7 +247,7 @@ impl Harness {
 /// Free-standing effectiveness runner (sweeps rebuild engines but reuse
 /// workloads, so this takes every piece explicitly).
 pub fn effectiveness(
-    engine: &Engine,
+    engine: &EngineSnapshot,
     truth: &GroundTruth,
     queries: &[LabeledQuery],
     rankers: &[Ranker],
@@ -256,7 +258,7 @@ pub fn effectiveness(
     let mut precs: Vec<Vec<f64>> = vec![Vec::new(); rankers.len()];
     for q in queries {
         let query = q.keywords.join(" ");
-        let Ok(pool) = engine.candidate_pool(&query, pool_k) else {
+        let Ok(pool) = engine.session().candidate_pool(&query, pool_k) else {
             continue;
         };
         if pool.is_empty() {

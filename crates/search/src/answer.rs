@@ -44,9 +44,9 @@ pub struct TopK {
 }
 
 impl TopK {
-    /// An empty list keeping the best `k` answers.
+    /// An empty list keeping the best `k` answers. With `k == 0` the list
+    /// is always full and rejects every offer.
     pub fn new(k: usize) -> Self {
-        assert!(k > 0, "k must be positive");
         TopK {
             k,
             answers: Vec::with_capacity(k + 1),
@@ -57,6 +57,9 @@ impl TopK {
     /// Offers an answer; returns true if it was inserted (new tree and good
     /// enough).
     pub fn offer(&mut self, answer: Answer) -> bool {
+        if self.k == 0 {
+            return false;
+        }
         // `min_score` is Some exactly when the list is full.
         if let Some(min) = self.min_score() {
             if answer.score <= min {
@@ -143,6 +146,14 @@ mod tests {
         t.offer(ans(&[2], 2.0));
         t.offer(ans(&[3], 3.0));
         assert_eq!(t.min_score(), Some(1.0));
+    }
+
+    #[test]
+    fn zero_k_rejects_everything() {
+        let mut t = TopK::new(0);
+        assert!(!t.offer(ans(&[1], 1.0)));
+        assert!(t.is_empty());
+        assert_eq!(t.min_score(), None);
     }
 
     #[test]

@@ -156,7 +156,7 @@ pub fn bnb_search_in<O: DistanceOracle>(
         #[cfg(any(debug_assertions, feature = "strict-invariants"))]
         last_pop: None,
     };
-    if !query.answerable() {
+    if !query.answerable() || opts.k == 0 {
         return (Vec::new(), run.stats);
     }
     // Seed in the spec's deterministic matcher order (not `matchers()`,
@@ -567,6 +567,23 @@ mod tests {
             vec!["a".into(), "b".into()],
             vec![(NodeId(0), 0b01, 2), (NodeId(2), 0b10, 2)],
         )
+    }
+
+    #[test]
+    fn zero_k_returns_no_answers_from_either_search() {
+        let (g, p) = coauthor_graph();
+        let scorer = Scorer::new(&g, &p, 0.05, Dampening::paper_default());
+        let q = query_ab(&scorer);
+        let opts = SearchOptions {
+            k: 0,
+            ..SearchOptions::default()
+        };
+        let (answers, stats) = bnb_search(&scorer, &q, &NoIndex, &opts);
+        assert!(answers.is_empty());
+        assert!(!stats.truncated());
+        let (answers, stats) = crate::naive_search(&scorer, &q, &opts);
+        assert!(answers.is_empty());
+        assert!(!stats.truncated());
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub fn naive_search(
     opts: &SearchOptions,
 ) -> (Vec<Answer>, SearchStats) {
     let mut stats = SearchStats::default();
-    if !query.answerable() {
+    if !query.answerable() || opts.k == 0 {
         return (Vec::new(), stats);
     }
     let half = opts.diameter.div_ceil(2);

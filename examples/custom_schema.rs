@@ -12,7 +12,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use ci_graph::{MergeSpec, WeightConfig};
-use ci_rank::{CiRankConfig, Engine};
+use ci_rank::{CiRankConfig, EngineBuilder};
 use ci_storage::{Database, TableSchema, Value};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -64,18 +64,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     weights.set("produced", 0.7, 0.7);
     weights.set("features", 0.3, 0.3);
 
-    let engine = Engine::build(
-        &db,
-        CiRankConfig {
-            weights,
-            merge: Some(MergeSpec::over(vec![artist, producer])),
-            ..Default::default()
-        },
-    )
+    let engine = EngineBuilder::new(CiRankConfig {
+        weights,
+        merge: Some(MergeSpec::over(vec![artist, producer])),
+        ..Default::default()
+    })
+    .build(&db)
     .unwrap();
 
     // 4. Search: which album connects the two artists?
-    let answers = engine.search("nova marsh").unwrap();
+    let (answers, _) = engine.session().search_with_stats("nova marsh").unwrap();
     println!("query: \"nova marsh\"\n");
     for (i, a) in answers.iter().enumerate() {
         println!("#{} {a}", i + 1);

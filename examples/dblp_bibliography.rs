@@ -12,7 +12,7 @@
 
 use ci_datagen::{dblp_workload, generate_dblp, DblpConfig};
 use ci_graph::WeightConfig;
-use ci_rank::{CiRankConfig, Engine, Ranker};
+use ci_rank::{CiRankConfig, EngineBuilder, Ranker};
 
 fn main() {
     let data = generate_dblp(DblpConfig {
@@ -21,13 +21,11 @@ fn main() {
         conferences: 10,
         ..Default::default()
     });
-    let engine = Engine::build(
-        &data.db,
-        CiRankConfig {
-            weights: WeightConfig::dblp_default(),
-            ..Default::default()
-        },
-    )
+    let engine = EngineBuilder::new(CiRankConfig {
+        weights: WeightConfig::dblp_default(),
+        ..Default::default()
+    })
+    .build(&data.db)
     .unwrap();
     println!(
         "DBLP graph: {} nodes, {} edges\n",
@@ -38,7 +36,7 @@ fn main() {
     let queries = dblp_workload(&data, 6, 7);
     for q in &queries {
         let query = q.keywords.join(" ");
-        let pool = engine.candidate_pool(&query, 15).unwrap();
+        let pool = engine.session().candidate_pool(&query, 15).unwrap();
         if pool.is_empty() {
             continue;
         }

@@ -13,7 +13,7 @@
 
 use ci_datagen::{generate_imdb, ImdbConfig};
 use ci_graph::{MergeSpec, WeightConfig};
-use ci_rank::{CiRankConfig, Engine, Ranker};
+use ci_rank::{CiRankConfig, EngineBuilder, Ranker};
 use ci_storage::{TupleId, Value};
 
 fn main() {
@@ -54,30 +54,29 @@ fn main() {
         db.link(t.actress_movie, extra, hit).unwrap();
     }
 
-    let engine = Engine::build(
-        &data.db,
-        CiRankConfig {
-            weights: WeightConfig::imdb_default(),
-            merge: Some(MergeSpec::over(vec![
-                t.actor, t.actress, t.director, t.producer,
-            ])),
-            diameter: 4,
-            ..Default::default()
-        },
-    )
+    let engine = EngineBuilder::new(CiRankConfig {
+        weights: WeightConfig::imdb_default(),
+        merge: Some(MergeSpec::over(vec![
+            t.actor, t.actress, t.director, t.producer,
+        ])),
+        diameter: 4,
+        ..Default::default()
+    })
+    .build(&data.db)
     .unwrap();
 
     let query = "bramble woodgate morland";
     println!("query: {query:?}\n");
 
     println!("— CI-Rank —");
-    let ci = engine.search(query).unwrap();
+    let session = engine.session();
+    let (ci, _) = session.search_with_stats(query).unwrap();
     for (i, a) in ci.iter().take(3).enumerate() {
         println!("#{} {a}", i + 1);
     }
 
     println!("\n— BANKS (same candidate pool) —");
-    let pool = engine.candidate_pool(query, 10).unwrap();
+    let pool = session.candidate_pool(query, 10).unwrap();
     let banks = engine.rank(query, &pool, Ranker::Banks).unwrap();
     for (i, a) in banks.iter().take(3).enumerate() {
         println!("#{} {a}", i + 1);

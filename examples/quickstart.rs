@@ -10,7 +10,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use ci_graph::WeightConfig;
-use ci_rank::{CiRankConfig, Engine};
+use ci_rank::{CiRankConfig, EngineBuilder};
 use ci_storage::{schemas, Value};
 
 fn main() {
@@ -66,17 +66,18 @@ fn main() {
 
     // 3. Build the engine with the paper's Table II weights and defaults
     //    (α = 0.15, g = 20, c = 0.15, D = 4).
-    let engine = Engine::build(
-        &db,
-        CiRankConfig {
-            weights: WeightConfig::dblp_default(),
-            ..Default::default()
-        },
-    )
+    let engine = EngineBuilder::new(CiRankConfig {
+        weights: WeightConfig::dblp_default(),
+        ..Default::default()
+    })
+    .build(&db)
     .expect("non-empty database");
 
     // 4. The motivating query.
-    let answers = engine.search("Papakonstantinou Ullman").unwrap();
+    let (answers, _stats) = engine
+        .session()
+        .search_with_stats("Papakonstantinou Ullman")
+        .unwrap();
     println!(
         "query: \"Papakonstantinou Ullman\" — {} answers\n",
         answers.len()

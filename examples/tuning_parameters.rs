@@ -13,7 +13,7 @@
 use ci_datagen::{dblp_workload, generate_dblp, DblpConfig};
 use ci_eval::{effectiveness_runner, JudgeConfig};
 use ci_graph::WeightConfig;
-use ci_rank::{CiRankConfig, Engine, Ranker};
+use ci_rank::{CiRankConfig, EngineBuilder, Ranker};
 
 fn main() {
     let data = generate_dblp(DblpConfig {
@@ -34,17 +34,15 @@ fn main() {
     for alpha in [0.05, 0.15, 0.25, 0.35] {
         print!("{alpha:>6}");
         for g in [5.0, 10.0, 20.0, 30.0] {
-            let engine = Engine::build(
-                &data.db,
-                CiRankConfig {
-                    weights: WeightConfig::dblp_default(),
-                    alpha,
-                    g,
-                    // Demo budget: pool quality barely changes, runtime does.
-                    max_expansions: Some(1_500),
-                    ..Default::default()
-                },
-            )
+            let engine = EngineBuilder::new(CiRankConfig {
+                weights: WeightConfig::dblp_default(),
+                alpha,
+                g,
+                // Demo budget: pool quality barely changes, runtime does.
+                max_expansions: Some(1_500),
+                ..Default::default()
+            })
+            .build(&data.db)
             .unwrap();
             let res = effectiveness_runner(
                 &engine,

@@ -12,7 +12,7 @@
 
 use ci_graph::WeightConfig;
 use ci_rank::feedback::FeedbackLog;
-use ci_rank::{CiRankConfig, Engine, ImportanceMethod};
+use ci_rank::{CiRankConfig, EngineBuilder, ImportanceMethod};
 use ci_storage::{schemas, Value};
 
 fn main() {
@@ -45,10 +45,14 @@ fn main() {
         weights: WeightConfig::dblp_default(),
         ..Default::default()
     };
-    let base = Engine::build(&db, cfg.clone()).unwrap();
+    let base = EngineBuilder::new(cfg.clone()).build(&db).unwrap();
 
     println!("before feedback:");
-    for a in base.search("ashcombe foxworth").unwrap() {
+    let (answers, _) = base
+        .session()
+        .search_with_stats("ashcombe foxworth")
+        .unwrap();
+    for a in &answers {
         println!("  {a}");
     }
 
@@ -56,17 +60,18 @@ fn main() {
     let mut log = FeedbackLog::new();
     log.record_answer(&[a1, survey, a2], 4.0);
 
-    let biased = Engine::build(
-        &db,
-        CiRankConfig {
-            importance: ImportanceMethod::Personalized(log.teleport_vector(&base)),
-            ..cfg
-        },
-    )
+    let biased = EngineBuilder::new(CiRankConfig {
+        importance: ImportanceMethod::Personalized(log.teleport_vector(&base)),
+        ..cfg
+    })
+    .build(&db)
     .unwrap();
 
     println!("\nafter {} clicks of feedback on the survey answer:", 4);
-    let answers = biased.search("ashcombe foxworth").unwrap();
+    let (answers, _) = biased
+        .session()
+        .search_with_stats("ashcombe foxworth")
+        .unwrap();
     for a in &answers {
         println!("  {a}");
     }

@@ -1,7 +1,8 @@
 //! Replay fingerprints of the query hot path.
 //!
-//! Shared by `examples/query_fingerprint.rs` (which prints the hashes) and
-//! `tests/query_hot_path_determinism.rs` (which pins them as constants).
+//! Shared by `examples/query_fingerprint.rs` (which prints the hashes),
+//! `tests/query_hot_path_determinism.rs` (which pins them as constants),
+//! and `bench_query` (which asserts per-query hashes across threads).
 //! A fingerprint folds every observable output of a replayed workload —
 //! bit-exact scores, result node lists, and the `SearchStats` counters —
 //! into one FNV-1a hash, so "the optimized hot path is bit-identical to
@@ -90,8 +91,10 @@ pub fn build(
     .build(db)
 }
 
-/// Folds one query's outcome through the given session into `h`.
-fn hash_query(h: &mut Fnv, session: &QuerySession<'_>, q: &str) {
+/// Folds one query's outcome through the given session into `h`: the
+/// bit-exact scores, result node ids, and the pre-optimization
+/// `SearchStats` counters (cache statistics deliberately excluded).
+pub fn hash_query(h: &mut Fnv, session: &QuerySession<'_>, q: &str) {
     match session.search_with_stats(q) {
         Ok((answers, stats)) => {
             h.byte(1);

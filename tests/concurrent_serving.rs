@@ -17,15 +17,14 @@ use std::sync::Arc;
 use std::thread;
 
 use ci_graph::WeightConfig;
-use ci_rank::{CiRankConfig, Engine, EngineSnapshot, QueryBudget};
+use ci_rank::{CiRankConfig, EngineBuilder, EngineSnapshot, QueryBudget};
 use ci_storage::{schemas, Database, Value};
 
-// Compile-time check: the snapshot (and the engine façade wrapping it)
-// must be shareable across threads without locks.
+// Compile-time check: the snapshot must be shareable across threads
+// without locks.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<EngineSnapshot>();
-    assert_send_sync::<Engine>();
     assert_send_sync::<Arc<EngineSnapshot>>();
 };
 
@@ -78,10 +77,12 @@ fn queries() -> Vec<&'static str> {
 
 /// Flattened fingerprint of a result list: scores and node sets, enough
 /// to detect any cross-thread divergence including tie-break order.
-fn fingerprint(engine: &Engine, query: &str) -> Vec<(u64, Vec<u32>)> {
+fn fingerprint(engine: &EngineSnapshot, query: &str) -> Vec<(u64, Vec<u32>)> {
     engine
-        .search(query)
+        .session()
+        .search_with_stats(query)
         .unwrap()
+        .0
         .into_iter()
         .map(|a| {
             (
@@ -94,23 +95,23 @@ fn fingerprint(engine: &Engine, query: &str) -> Vec<(u64, Vec<u32>)> {
 
 #[test]
 fn parallel_queries_match_single_threaded_results() {
-    let engine = Engine::build(
-        &library_db(),
-        CiRankConfig {
+    let engine = Arc::new(
+        EngineBuilder::new(CiRankConfig {
             weights: WeightConfig::dblp_default(),
             ..Default::default()
-        },
-    )
-    .unwrap();
+        })
+        .build(&library_db())
+        .unwrap(),
+    );
 
     // Ground truth, single-threaded.
     let expected: Vec<_> = queries().iter().map(|q| fingerprint(&engine, q)).collect();
 
     // 4+ threads, each running the whole workload several times against
-    // the same shared snapshot (cloning the engine clones the Arc only).
+    // the same shared snapshot.
     let handles: Vec<_> = (0..6)
         .map(|_| {
-            let engine = engine.clone();
+            let engine = Arc::clone(&engine);
             thread::spawn(move || {
                 let mut runs = Vec::new();
                 for _ in 0..3 {
@@ -131,15 +132,14 @@ fn parallel_queries_match_single_threaded_results() {
 
 #[test]
 fn per_thread_sessions_have_independent_budgets() {
-    let engine = Engine::build(
-        &library_db(),
-        CiRankConfig {
+    let snapshot = Arc::new(
+        EngineBuilder::new(CiRankConfig {
             weights: WeightConfig::dblp_default(),
             ..Default::default()
-        },
-    )
-    .unwrap();
-    let snapshot = Arc::clone(engine.snapshot());
+        })
+        .build(&library_db())
+        .unwrap(),
+    );
 
     // One thread runs with an expired deadline (must truncate), another
     // unconstrained (must not) — sessions don't leak state through the

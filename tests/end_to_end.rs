@@ -14,9 +14,9 @@ use ci_datagen::{
     dblp_workload, generate_dblp, generate_imdb, imdb_synthetic_workload, DblpConfig, ImdbConfig,
 };
 use ci_graph::{MergeSpec, WeightConfig};
-use ci_rank::{CiRankConfig, Engine, IndexKind};
+use ci_rank::{CiRankConfig, EngineBuilder, EngineSnapshot, IndexKind};
 
-fn imdb_engine(index: IndexKind) -> (ci_datagen::ImdbData, Engine) {
+fn imdb_engine(index: IndexKind) -> (ci_datagen::ImdbData, EngineSnapshot) {
     let data = generate_imdb(ImdbConfig {
         movies: 120,
         actors: 80,
@@ -37,7 +37,7 @@ fn imdb_engine(index: IndexKind) -> (ci_datagen::ImdbData, Engine) {
         index,
         ..Default::default()
     };
-    let engine = Engine::build(&data.db, cfg).unwrap();
+    let engine = EngineBuilder::new(cfg).build(&data.db).unwrap();
     (data, engine)
 }
 
@@ -48,7 +48,7 @@ fn imdb_answers_satisfy_invariants() {
     let mut answered = 0;
     for q in &queries {
         let query = q.keywords.join(" ");
-        let answers = engine.search(&query).unwrap();
+        let answers = engine.session().search_with_stats(&query).unwrap().0;
         if !answers.is_empty() {
             answered += 1;
         }
@@ -101,12 +101,12 @@ fn dblp_search_is_deterministic() {
         weights: WeightConfig::dblp_default(),
         ..Default::default()
     };
-    let e1 = Engine::build(&data.db, cfg.clone()).unwrap();
-    let e2 = Engine::build(&data.db, cfg).unwrap();
+    let e1 = EngineBuilder::new(cfg.clone()).build(&data.db).unwrap();
+    let e2 = EngineBuilder::new(cfg).build(&data.db).unwrap();
     for q in dblp_workload(&data, 10, 5) {
         let query = q.keywords.join(" ");
-        let a1 = e1.search(&query).unwrap();
-        let a2 = e2.search(&query).unwrap();
+        let a1 = e1.session().search_with_stats(&query).unwrap().0;
+        let a2 = e2.session().search_with_stats(&query).unwrap().0;
         assert_eq!(a1.len(), a2.len());
         for (x, y) in a1.iter().zip(&a2) {
             assert_eq!(x.score.to_bits(), y.score.to_bits());
@@ -123,9 +123,9 @@ fn all_index_kinds_return_identical_rankings() {
     let queries = imdb_synthetic_workload(&data, 10, 9);
     for q in &queries {
         let query = q.keywords.join(" ");
-        let a = plain.search(&query).unwrap();
-        let b = naive.search(&query).unwrap();
-        let c = star.search(&query).unwrap();
+        let a = plain.session().search_with_stats(&query).unwrap().0;
+        let b = naive.session().search_with_stats(&query).unwrap().0;
+        let c = star.session().search_with_stats(&query).unwrap().0;
         assert_eq!(a.len(), b.len(), "query {query:?}");
         assert_eq!(a.len(), c.len(), "query {query:?}");
         for ((x, y), z) in a.iter().zip(&b).zip(&c) {
@@ -146,26 +146,22 @@ fn person_merge_changes_the_graph() {
         companies: 8,
         ..Default::default()
     });
-    let merged = Engine::build(
-        &data.db,
-        CiRankConfig {
-            weights: WeightConfig::imdb_default(),
-            merge: Some(MergeSpec::over(vec![
-                data.tables.actor,
-                data.tables.actress,
-                data.tables.director,
-            ])),
-            ..Default::default()
-        },
-    )
+    let merged = EngineBuilder::new(CiRankConfig {
+        weights: WeightConfig::imdb_default(),
+        merge: Some(MergeSpec::over(vec![
+            data.tables.actor,
+            data.tables.actress,
+            data.tables.director,
+        ])),
+        ..Default::default()
+    })
+    .build(&data.db)
     .unwrap();
-    let unmerged = Engine::build(
-        &data.db,
-        CiRankConfig {
-            weights: WeightConfig::imdb_default(),
-            ..Default::default()
-        },
-    )
+    let unmerged = EngineBuilder::new(CiRankConfig {
+        weights: WeightConfig::imdb_default(),
+        ..Default::default()
+    })
+    .build(&data.db)
     .unwrap();
     assert!(
         merged.graph().node_count() < unmerged.graph().node_count(),

@@ -1,6 +1,7 @@
-//! Engine-level exactness: the full `Engine` pipeline (text index →
-//! matchers → B&B with the configured star index) agrees with the naive
-//! enumeration on real generated data, across diameters and k.
+//! End-to-end exactness: the full builder → snapshot → session pipeline
+//! (text index → matchers → B&B with the configured star index) agrees
+//! with the naive enumeration on real generated data, across diameters
+//! and k.
 
 // LINT-EXEMPT(tests): integration tests may unwrap/index freely; the
 // workspace lint wall applies to library code only (ISSUE 1).
@@ -13,29 +14,27 @@
 
 use ci_datagen::{dblp_workload, generate_dblp, DblpConfig};
 use ci_graph::WeightConfig;
-use ci_rank::{CiRankConfig, Engine, IndexKind};
+use ci_rank::{CiRankConfig, EngineBuilder, EngineSnapshot, IndexKind};
 
-fn engine(diameter: u32, k: usize, index: IndexKind) -> (ci_datagen::DblpData, Engine) {
+fn engine(diameter: u32, k: usize, index: IndexKind) -> (ci_datagen::DblpData, EngineSnapshot) {
     let data = generate_dblp(DblpConfig {
         papers: 90,
         authors: 50,
         conferences: 5,
         ..Default::default()
     });
-    let e = Engine::build(
-        &data.db,
-        CiRankConfig {
-            weights: WeightConfig::dblp_default(),
-            diameter,
-            k,
-            index,
-            // Exact mode: no caps, so the naive comparison is an oracle.
-            max_expansions: None,
-            naive_max_paths: 100_000,
-            naive_max_combinations: 2_000_000,
-            ..Default::default()
-        },
-    )
+    let e = EngineBuilder::new(CiRankConfig {
+        weights: WeightConfig::dblp_default(),
+        diameter,
+        k,
+        index,
+        // Exact mode: no caps, so the naive comparison is an oracle.
+        max_expansions: None,
+        naive_max_paths: 100_000,
+        naive_max_combinations: 2_000_000,
+        ..Default::default()
+    })
+    .build(&data.db)
     .unwrap();
     (data, e)
 }
@@ -46,8 +45,8 @@ fn bnb_equals_naive_through_the_engine() {
         let (data, e) = engine(d, k, IndexKind::Star { relations: None });
         for q in dblp_workload(&data, 6, 17) {
             let query = q.keywords.join(" ");
-            let bnb = e.search(&query).unwrap();
-            let (naive, naive_stats) = e.search_naive(&query).unwrap();
+            let bnb = e.session().search_with_stats(&query).unwrap().0;
+            let (naive, naive_stats) = e.session().search_naive(&query).unwrap();
             assert!(
                 !naive_stats.truncated(),
                 "oracle must be exhaustive (D={d})"
@@ -71,8 +70,8 @@ fn k_truncates_but_preserves_prefix() {
     let (_, e2) = engine(3, 2, IndexKind::Star { relations: None });
     for q in dblp_workload(&data, 5, 23) {
         let query = q.keywords.join(" ");
-        let five = e5.search(&query).unwrap();
-        let two = e2.search(&query).unwrap();
+        let five = e5.session().search_with_stats(&query).unwrap().0;
+        let two = e2.session().search_with_stats(&query).unwrap().0;
         assert!(two.len() <= 2);
         assert!(two.len() <= five.len());
         for (a, b) in five.iter().zip(&two) {

@@ -17,7 +17,7 @@
 )]
 
 use ci_graph::WeightConfig;
-use ci_rank::{CiRankConfig, Engine, Ranker};
+use ci_rank::{CiRankConfig, EngineBuilder, Ranker};
 use ci_storage::{schemas, Database, Value};
 
 fn tsimmis_db() -> Database {
@@ -67,16 +67,14 @@ fn tsimmis_db() -> Database {
 #[test]
 fn tsimmis_example_all_rankers() {
     let db = tsimmis_db();
-    let engine = Engine::build(
-        &db,
-        CiRankConfig {
-            weights: WeightConfig::dblp_default(),
-            ..Default::default()
-        },
-    )
+    let engine = EngineBuilder::new(CiRankConfig {
+        weights: WeightConfig::dblp_default(),
+        ..Default::default()
+    })
+    .build(&db)
     .unwrap();
     let query = "papakonstantinou ullman";
-    let pool = engine.candidate_pool(query, 10).unwrap();
+    let pool = engine.session().candidate_pool(query, 10).unwrap();
     assert_eq!(pool.len(), 2);
 
     // CI-Rank: the 38-citation paper wins.
@@ -135,16 +133,14 @@ fn costar_example_banks_vs_ci() {
         db.link(t.actress_movie, extra, hit).unwrap();
     }
 
-    let engine = Engine::build(
-        &db,
-        CiRankConfig {
-            weights: WeightConfig::imdb_default(),
-            ..Default::default()
-        },
-    )
+    let engine = EngineBuilder::new(CiRankConfig {
+        weights: WeightConfig::imdb_default(),
+        ..Default::default()
+    })
+    .build(&db)
     .unwrap();
     let query = "bloomfield woodward mortenhall";
-    let pool = engine.candidate_pool(query, 10).unwrap();
+    let pool = engine.session().candidate_pool(query, 10).unwrap();
     assert!(pool.len() >= 2, "both movies connect the trio");
 
     let ci = engine.rank(query, &pool, Ranker::CiRank).unwrap();

@@ -12,7 +12,7 @@
 
 use ci_datagen::{dblp_workload, generate_dblp, DblpConfig};
 use ci_graph::WeightConfig;
-use ci_rank::{CiRankConfig, Engine};
+use ci_rank::{CiRankConfig, EngineBuilder};
 use ci_storage::persist;
 
 #[test]
@@ -35,16 +35,16 @@ fn reloaded_database_searches_identically() {
         weights: WeightConfig::dblp_default(),
         ..Default::default()
     };
-    let original = Engine::build(&data.db, cfg.clone()).unwrap();
-    let restored = Engine::build(&reloaded, cfg).unwrap();
+    let original = EngineBuilder::new(cfg.clone()).build(&data.db).unwrap();
+    let restored = EngineBuilder::new(cfg).build(&reloaded).unwrap();
 
     assert_eq!(original.graph().node_count(), restored.graph().node_count());
     assert_eq!(original.graph().edge_count(), restored.graph().edge_count());
 
     for q in dblp_workload(&data, 8, 3) {
         let query = q.keywords.join(" ");
-        let a = original.search(&query).unwrap();
-        let b = restored.search(&query).unwrap();
+        let a = original.session().search_with_stats(&query).unwrap().0;
+        let b = restored.session().search_with_stats(&query).unwrap().0;
         assert_eq!(a.len(), b.len(), "query {query:?}");
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.score.to_bits(), y.score.to_bits());

@@ -14,7 +14,7 @@
 use ci_datagen::{dblp_workload, generate_dblp, load_workload, save_workload, DblpConfig};
 use ci_eval::{effectiveness_runner, JudgeConfig};
 use ci_graph::WeightConfig;
-use ci_rank::{CiRankConfig, Engine, Ranker};
+use ci_rank::{CiRankConfig, EngineBuilder, Ranker};
 
 #[test]
 fn saved_workload_replays_identically() {
@@ -31,14 +31,12 @@ fn saved_workload_replays_identically() {
     let reloaded = load_workload(&mut buf.as_slice()).unwrap();
     assert_eq!(reloaded.len(), queries.len());
 
-    let engine = Engine::build(
-        &data.db,
-        CiRankConfig {
-            weights: WeightConfig::dblp_default(),
-            max_expansions: Some(2_000),
-            ..Default::default()
-        },
-    )
+    let engine = EngineBuilder::new(CiRankConfig {
+        weights: WeightConfig::dblp_default(),
+        max_expansions: Some(2_000),
+        ..Default::default()
+    })
+    .build(&data.db)
     .unwrap();
     let judge = JudgeConfig::default();
     let original = effectiveness_runner(
