@@ -1,3 +1,6 @@
+//! The DISCOVER2 TF-IDF scoring function (Hristidis, Gravano,
+//! Papakonstantinou, VLDB 2003).
+
 use ci_text::InvertedIndex;
 
 /// The DISCOVER2 scoring function (§II-B.1 of the CI-Rank paper):

@@ -1,3 +1,6 @@
+//! The SPARK three-factor scoring function (Luo, Lin, Wang, Zhou,
+//! SIGMOD 2007).
+
 use std::collections::BTreeSet;
 
 use ci_text::InvertedIndex;

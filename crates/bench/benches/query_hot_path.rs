@@ -105,7 +105,7 @@ fn bench_oracle_probes(c: &mut Criterion) {
         b.iter(|| {
             store.clear();
             store.begin_query((0..3).map(|m| NodeId(m * 131)));
-            let cached = CachedOracle::with_store(&oracle, &store);
+            let cached = CachedOracle::new(&oracle, &store);
             let mut acc = 0u64;
             for &(u, v) in &seq {
                 let (d, r) = cached.probe(u, v);

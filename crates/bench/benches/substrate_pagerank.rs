@@ -1,6 +1,5 @@
-//! Substrate benches: the random-walk solvers of Eq. 1 (power iteration vs
-//! Monte Carlo) and graph construction, which every experiment in §VI pays
-//! for at build time.
+//! Substrate benches: the power-iteration solver of Eq. 1 and graph
+//! construction, which every experiment in §VI pays for at build time.
 
 // LINT-EXEMPT(tests): integration tests may unwrap/index freely; the
 // workspace lint wall applies to library code only (ISSUE 1).
@@ -13,10 +12,8 @@
 
 use ci_bench::dblp_data;
 use ci_graph::{build_graph, WeightConfig};
-use ci_walk::{monte_carlo, pagerank, PowerOptions};
+use ci_walk::{pagerank, PowerOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn bench(c: &mut Criterion) {
     let data = dblp_data();
@@ -32,12 +29,6 @@ fn bench(c: &mut Criterion) {
     let graph = build_graph(&data.db, &weights, None);
     group.bench_function("pagerank/power_iteration", |b| {
         b.iter(|| std::hint::black_box(pagerank(&graph, PowerOptions::default())))
-    });
-    group.bench_function("pagerank/monte_carlo_100", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(1);
-            std::hint::black_box(monte_carlo(&graph, 0.15, 100, &mut rng))
-        })
     });
 
     group.finish();

@@ -7,9 +7,7 @@ use ci_index::{detect_star_relations, DistIndex, NaiveIndex, StarIndex};
 use ci_rwmp::{Dampening, Scorer};
 use ci_storage::Database;
 use ci_text::IndexBuilder;
-use ci_walk::{monte_carlo, pagerank, pagerank_personalized, PowerOptions};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use ci_walk::{pagerank, pagerank_personalized, PowerOptions};
 
 use crate::config::{CiRankConfig, ImportanceMethod, IndexKind};
 use crate::error::CiRankError;
@@ -167,39 +165,17 @@ impl EngineBuilder {
         let text = builder.build();
 
         // Stage 3: random-walk node importance (Eq. 1). The power-iteration
-        // matvec fans out over `build_threads` workers and stays
-        // bit-identical to the serial path (see `PowerOptions::threads`);
-        // Monte-Carlo estimation is sequential over one RNG stream.
-        let importance_threads = match &cfg.importance {
-            ImportanceMethod::MonteCarlo { .. } => 1,
-            _ => threads,
+        // matvec fans out over `build_threads` workers and is bit-identical
+        // at every thread count (see `PowerOptions::threads`).
+        self.enter(BuildStage::Importance, threads);
+        let power = PowerOptions {
+            teleport: cfg.teleport,
+            threads,
+            ..Default::default()
         };
-        self.enter(BuildStage::Importance, importance_threads);
         let importance = match &cfg.importance {
-            ImportanceMethod::PowerIteration => pagerank(
-                &graph,
-                PowerOptions {
-                    teleport: cfg.teleport,
-                    threads,
-                    ..Default::default()
-                },
-            ),
-            ImportanceMethod::MonteCarlo {
-                walks_per_node,
-                seed,
-            } => {
-                let mut rng = StdRng::seed_from_u64(*seed);
-                monte_carlo(&graph, cfg.teleport, *walks_per_node, &mut rng)
-            }
-            ImportanceMethod::Personalized(u) => pagerank_personalized(
-                &graph,
-                PowerOptions {
-                    teleport: cfg.teleport,
-                    threads,
-                    ..Default::default()
-                },
-                u,
-            ),
+            ImportanceMethod::PowerIteration => pagerank(&graph, power),
+            ImportanceMethod::Personalized(u) => pagerank_personalized(&graph, power, u),
         };
 
         // Stage 4: BANKS prestige for the baseline rankers.

@@ -6,13 +6,6 @@ use ci_search::{QueryBudget, SearchOptions};
 pub enum ImportanceMethod {
     /// Power iteration (the default).
     PowerIteration,
-    /// Monte-Carlo estimation with the given walks per node and RNG seed.
-    MonteCarlo {
-        /// Walks started from every node.
-        walks_per_node: usize,
-        /// Seed for reproducibility.
-        seed: u64,
-    },
     /// Power iteration with a personalized teleport vector (one entry per
     /// graph node) — the user-feedback biasing mechanism.
     Personalized(Vec<f64>),
@@ -66,27 +59,29 @@ pub struct CiRankConfig {
     pub naive_max_combinations: usize,
     /// Worker threads for the offline build (importance power iteration
     /// and the per-source index traversals). Every thread count produces
-    /// bit-identical snapshots; `1` runs today's serial code path exactly.
-    /// Defaults to the machine's available parallelism.
+    /// bit-identical snapshots; `1` runs every stage inline without
+    /// spawning. Defaults to the machine's available parallelism.
     pub build_threads: usize,
 }
 
 impl Default for CiRankConfig {
     fn default() -> Self {
+        // The search-side defaults live in one place, `SearchOptions`.
+        let search = SearchOptions::default();
         CiRankConfig {
             alpha: 0.15,
             g: 20.0,
             teleport: 0.15,
-            diameter: 4,
-            k: 10,
-            max_tree_nodes: 8,
+            diameter: search.diameter,
+            k: search.k,
+            max_tree_nodes: search.max_tree_nodes,
             weights: WeightConfig::uniform(),
             merge: None,
             index: IndexKind::Star { relations: None },
             importance: ImportanceMethod::PowerIteration,
-            max_expansions: None,
-            naive_max_paths: 256,
-            naive_max_combinations: 100_000,
+            max_expansions: search.budget.max_expansions,
+            naive_max_paths: search.naive_max_paths,
+            naive_max_combinations: search.naive_max_combinations,
             build_threads: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
@@ -105,9 +100,9 @@ impl CiRankConfig {
             diameter: self.diameter,
             k: self.k,
             max_tree_nodes: self.max_tree_nodes,
-            budget: match self.max_expansions {
-                Some(n) => QueryBudget::default().with_max_expansions(n),
-                None => QueryBudget::UNLIMITED,
+            budget: QueryBudget {
+                max_expansions: self.max_expansions,
+                ..QueryBudget::default()
             },
             naive_max_paths: self.naive_max_paths,
             naive_max_combinations: self.naive_max_combinations,
@@ -141,6 +136,33 @@ mod tests {
         let o = c.search_options();
         assert_eq!(o.diameter, 6);
         assert_eq!(o.k, 5);
+    }
+
+    #[test]
+    fn default_config_implies_the_default_search_options() {
+        let from_config = CiRankConfig::default().search_options();
+        let SearchOptions {
+            diameter,
+            k,
+            max_tree_nodes,
+            allow_redundant_matchers,
+            budget,
+            naive_max_paths,
+            naive_max_combinations,
+            trace,
+        } = SearchOptions::default();
+        assert_eq!(from_config.diameter, diameter);
+        assert_eq!(from_config.k, k);
+        assert_eq!(from_config.max_tree_nodes, max_tree_nodes);
+        assert_eq!(max_tree_nodes, 8, "the engine's answer-size cap");
+        assert_eq!(
+            from_config.allow_redundant_matchers,
+            allow_redundant_matchers
+        );
+        assert_eq!(from_config.budget, budget);
+        assert_eq!(from_config.naive_max_paths, naive_max_paths);
+        assert_eq!(from_config.naive_max_combinations, naive_max_combinations);
+        assert_eq!(from_config.trace, trace);
     }
 
     #[test]

@@ -112,7 +112,7 @@ fn score_one(
                         .total_cmp(&prestige.get(tree.node(b)))
                 })
                 .unwrap_or(0);
-            banks_score(graph, prestige, tree, root, 0.2)
+            banks_score(graph, prestige, tree, root)
         }
         Ranker::Alternative(kind) => {
             let bindings: Vec<ci_rwmp::NodeBinding> = (0..tree.size())

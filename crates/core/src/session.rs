@@ -198,16 +198,14 @@ impl OracleVisitor for BnbRun<'_> {
     type Output = (Vec<Answer>, SearchStats);
 
     fn visit<O: DistanceOracle>(self, oracle: &O) -> Self::Output {
-        // Shape the flat cache for this query: the slot budget comes from
-        // the session budget, and pre-assigning rows to the keyword-match
-        // nodes keeps the slab at (matchers × touched roots). Neither call
-        // invalidates probes memoized by earlier runs in this session.
-        self.cache
-            .set_entry_budget(self.opts.budget.max_cache_entries);
+        // Shape the flat cache for this query: pre-assigning rows to the
+        // keyword-match nodes keeps the slab at (matchers × touched roots)
+        // without invalidating probes memoized by earlier runs in this
+        // session.
         self.cache
             .begin_query(self.spec.matchers_sorted().iter().copied());
         let before = self.cache.stats();
-        let cached = CachedOracle::with_store(oracle, self.cache);
+        let cached = CachedOracle::new(oracle, self.cache);
         // Sessions are !Sync and never re-enter a search from inside a
         // search, so the scratch borrow cannot conflict.
         let mut scratch = self.scratch.borrow_mut();

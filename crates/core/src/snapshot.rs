@@ -206,14 +206,16 @@ impl EngineSnapshot {
         QuerySession::new(self)
     }
 
-    /// Parses a query string into distinct keyword tokens.
+    /// Parses a query string into distinct keyword tokens, in order of
+    /// first appearance. Linear in the query length.
     pub fn parse_query(&self, query: &str) -> Result<Vec<String>> {
-        let mut keywords: Vec<String> = Vec::new();
-        for tok in tokenize(query) {
-            if !keywords.contains(&tok) {
-                keywords.push(tok);
-            }
-        }
+        let tokens = tokenize(query);
+        let mut seen = std::collections::HashSet::new();
+        let keywords: Vec<String> = tokens
+            .iter()
+            .filter(|tok| seen.insert(tok.as_str()))
+            .cloned()
+            .collect();
         if keywords.is_empty() {
             return Err(CiRankError::EmptyQuery);
         }
@@ -271,43 +273,6 @@ impl EngineSnapshot {
             .into_iter()
             .map(|(tree, score)| self.to_ranked(&spec, Answer { tree, score }))
             .collect())
-    }
-
-    /// Runs BANKS end to end as an independent search strategy: backward
-    /// expanding search from every matcher (§II-B.2's citation), answers
-    /// scored with the BANKS ranking function at their emission root.
-    /// Provided for completeness alongside [`EngineSnapshot::rank`]'s
-    /// pool-re-ranking mode, which is what the paper's evaluation uses.
-    pub fn search_banks(&self, query: &str) -> Result<Vec<RankedAnswer>> {
-        let spec = self.query_spec(query)?;
-        if !spec.answerable() {
-            return Ok(Vec::new());
-        }
-        let matchers: Vec<Vec<NodeId>> = (0..spec.keyword_count())
-            .map(|k| spec.matchers_of(k).to_vec())
-            .collect();
-        let banks_cfg = ci_baselines::BanksConfig {
-            max_answers: self.cfg.k * 4,
-            max_hops: self.cfg.diameter,
-            ..Default::default()
-        };
-        let mut answers: Vec<RankedAnswer> =
-            ci_baselines::banks_search(&self.graph, &matchers, &banks_cfg)
-                .into_iter()
-                .map(|(tree, root)| {
-                    let score = ci_baselines::banks_score(
-                        &self.graph,
-                        &self.prestige,
-                        &tree,
-                        root,
-                        banks_cfg.lambda,
-                    );
-                    self.to_ranked(&spec, Answer { tree, score })
-                })
-                .collect();
-        answers.sort_by(|a, b| b.score.total_cmp(&a.score));
-        answers.truncate(self.cfg.k);
-        Ok(answers)
     }
 
     /// Explains an answer's RWMP score: the full Eqs. 2–4 decomposition
@@ -464,34 +429,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn banks_search_end_to_end() {
-        let snap = tsimmis_snapshot();
-        let answers = snap.search_banks("papakonstantinou ullman").unwrap();
-        assert!(!answers.is_empty());
-        for a in &answers {
-            // Every BANKS answer covers both keywords.
-            for kw in ["papakonstantinou", "ullman"] {
-                assert!(
-                    a.tree
-                        .nodes()
-                        .iter()
-                        .any(|&v| snap.text_index().tf(kw, v.0) > 0),
-                    "answer misses {kw:?}"
-                );
-            }
-            assert!(a.score > 0.0);
-        }
-        for w in answers.windows(2) {
-            assert!(w[0].score >= w[1].score);
-        }
-        // Unanswerable query is clean.
-        assert!(snap
-            .search_banks("papakonstantinou zzz")
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
     fn explain_breaks_down_the_score() {
         let snap = tsimmis_snapshot();
         let answers = search(&snap, "papakonstantinou ullman");
@@ -547,23 +484,6 @@ pub(crate) mod tests {
                 .iter()
                 .any(|n| n.text.contains("Heterogeneous")));
         }
-    }
-
-    #[test]
-    fn monte_carlo_importance_works() {
-        let snap = build(CiRankConfig {
-            importance: ImportanceMethod::MonteCarlo {
-                walks_per_node: 300,
-                seed: 5,
-            },
-            ..Default::default()
-        });
-        let answers = search(&snap, "papakonstantinou ullman");
-        assert_eq!(answers.len(), 2);
-        assert!(answers[0]
-            .nodes
-            .iter()
-            .any(|n| n.text.contains("Heterogeneous")));
     }
 
     #[test]
@@ -659,6 +579,22 @@ pub(crate) mod tests {
         assert_eq!(
             snap.parse_query(&q33).unwrap_err(),
             CiRankError::TooManyKeywords(33)
+        );
+    }
+
+    #[test]
+    fn parse_query_rejects_huge_queries_in_linear_time() {
+        // 200k distinct tokens, each given twice (about 3 MB): a quadratic
+        // dedup takes minutes here, the set-based one milliseconds.
+        let snap = tsimmis_snapshot();
+        let huge = (0..200_000)
+            .map(|i| format!("kw{i}"))
+            .collect::<Vec<_>>()
+            .join(" ");
+        let repeated = format!("{huge} {huge}");
+        assert_eq!(
+            snap.parse_query(&repeated).unwrap_err(),
+            CiRankError::TooManyKeywords(200_000)
         );
     }
 }

@@ -142,7 +142,7 @@ pub fn bnb_search_in<O: DistanceOracle>(
     scratch: &mut SearchScratch,
 ) -> (Vec<Answer>, SearchStats) {
     scratch.begin();
-    scratch.trace.begin(opts.trace, opts.trace_capacity);
+    scratch.trace.begin(opts.trace);
     let mut run = SearchRun {
         scorer,
         query,

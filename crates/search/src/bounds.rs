@@ -121,10 +121,18 @@ pub fn bound_parts_from<O: DistanceOracle + ?Sized>(
 ) -> BoundParts {
     let root = cand.root();
     let sources = flows.sources();
-    assert!(
-        !sources.is_empty(),
-        "candidates contain at least one matcher"
-    );
+    if sources.is_empty() {
+        // Every candidate contains a matcher, so this is unreachable; an
+        // infinite bound keeps the search admissible (it never prunes).
+        debug_assert!(
+            false,
+            "admissibility: candidates contain at least one matcher"
+        );
+        return BoundParts {
+            ce: f64::INFINITY,
+            pe: f64::INFINITY,
+        };
+    }
 
     // Tightest bound over sources of the missing keywords.
     let full = query.full_mask();
@@ -383,6 +391,21 @@ mod tests {
         let score = crate::answer::score_answer(&scorer, &q, &full.to_jtt()).unwrap();
         let ub = upper_bound(&scorer, &q, &NoIndex, &full, false);
         assert!((ub - score).abs() < 1e-12, "ub {ub} vs score {score}");
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "at least one matcher"))]
+    fn sourceless_flows_never_prune() {
+        // Unreachable by construction: debug builds stop at the assert,
+        // release builds fall back to a bound that prunes nothing.
+        let (g, p) = setup();
+        let scorer = Scorer::new(&g, &p, 0.25, Dampening::paper_default());
+        let q = query_ab(&scorer);
+        let seed = Candidate::seed(NodeId(0), 0b01);
+        let empty = FlowState::default();
+        let parts = bound_parts_from(&scorer, &q, &NoIndex, &seed, &empty, true);
+        assert_eq!(parts.ce, f64::INFINITY);
+        assert_eq!(parts.ub(), f64::INFINITY);
     }
 }
 

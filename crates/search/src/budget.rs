@@ -9,12 +9,10 @@ use std::time::{Duration, Instant};
 /// (each one is a complete, scored JTT); only the top-k *optimality*
 /// guarantee of Theorem 1 is forfeited.
 ///
-/// The default budget is unlimited on every truncation axis, preserving
-/// the exact search semantics; only the oracle-cache memory cap defaults
-/// to a (generous) finite value, which is safe because cache overflow
-/// passes probes through to the inner oracle instead of truncating the
-/// search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The default budget is unlimited on every axis, preserving the exact
+/// search semantics. (The oracle cache's memory is capped separately, at
+/// [`crate::DEFAULT_CACHE_ENTRIES`] slots; that cap never truncates.)
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryBudget {
     /// Cap on branch-and-bound queue pops (grow steps). Also bounds total
     /// candidate registrations at 10× the cap, because merge cascades at
@@ -27,43 +25,9 @@ pub struct QueryBudget {
     /// Cap on live candidates held in memory (the branch-and-bound arena,
     /// an upper bound on resident candidate memory).
     pub max_candidates: Option<usize>,
-    /// Cap on memoized oracle-probe slots held by the per-session
-    /// [`crate::OracleCache`] (each slot is a few dozen bytes). Unlike the
-    /// axes above this is *not* a truncation axis: once the cap is
-    /// reached, further distinct probes are answered by the inner oracle
-    /// directly and counted as overflow in
-    /// [`crate::CacheStats::overflow`], so results are bit-identical with
-    /// any cap — adversarial many-matcher queries just lose memoization
-    /// speed instead of growing memory without bound. Defaults to
-    /// [`QueryBudget::DEFAULT_CACHE_ENTRIES`].
-    pub max_cache_entries: Option<usize>,
-}
-
-impl Default for QueryBudget {
-    fn default() -> Self {
-        QueryBudget {
-            max_cache_entries: Some(QueryBudget::DEFAULT_CACHE_ENTRIES),
-            ..QueryBudget::UNLIMITED
-        }
-    }
 }
 
 impl QueryBudget {
-    /// The unlimited budget: exact search, Theorem 1 holds, and the
-    /// oracle cache may grow without bound.
-    pub const UNLIMITED: QueryBudget = QueryBudget {
-        max_expansions: None,
-        deadline: None,
-        max_candidates: None,
-        max_cache_entries: None,
-    };
-
-    /// Default oracle-cache slot cap: 2 million slots ≈ 64 MiB at the
-    /// flat cache's 32-byte slot size — far beyond what the bench
-    /// workloads touch (thousands), yet a hard ceiling on adversarial
-    /// queries with huge matcher sets.
-    pub const DEFAULT_CACHE_ENTRIES: usize = 2_000_000;
-
     /// Builder-style expansion cap.
     #[must_use]
     pub fn with_max_expansions(mut self, cap: usize) -> Self {
@@ -92,18 +56,7 @@ impl QueryBudget {
         self
     }
 
-    /// Builder-style oracle-cache slot cap (`None` = unbounded cache).
-    #[must_use]
-    pub fn with_max_cache_entries(mut self, cap: Option<usize>) -> Self {
-        self.max_cache_entries = cap;
-        self
-    }
-
-    /// True if no *truncation* axis is bounded — the exactness-preserving
-    /// default. [`QueryBudget::max_cache_entries`] is deliberately
-    /// excluded: the cache cap can never change which answers a search
-    /// returns (overflowing probes fall through to the inner oracle), so
-    /// a budget that only bounds the cache still runs the exact search.
+    /// True if no axis is bounded — the exactness-preserving default.
     pub fn is_unlimited(&self) -> bool {
         self.max_expansions.is_none() && self.deadline.is_none() && self.max_candidates.is_none()
     }
@@ -151,26 +104,8 @@ mod tests {
     #[test]
     fn default_is_unlimited() {
         let b = QueryBudget::default();
-        assert!(b.is_unlimited(), "no truncation axis is bounded");
-        assert_eq!(
-            b.max_cache_entries,
-            Some(QueryBudget::DEFAULT_CACHE_ENTRIES),
-            "the cache cap defaults on (it never affects results)"
-        );
-        assert!(QueryBudget::UNLIMITED.is_unlimited());
-        assert_eq!(QueryBudget::UNLIMITED.max_cache_entries, None);
+        assert!(b.is_unlimited(), "no axis is bounded");
         assert!(!b.deadline_exceeded(Instant::now()));
-    }
-
-    #[test]
-    fn cache_cap_does_not_make_a_budget_limited() {
-        let b = QueryBudget::UNLIMITED.with_max_cache_entries(Some(64));
-        assert_eq!(b.max_cache_entries, Some(64));
-        assert!(b.is_unlimited(), "cache cap is not a truncation axis");
-        assert!(QueryBudget::default()
-            .with_max_cache_entries(None)
-            .max_cache_entries
-            .is_none());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!
 //! Correctness does not depend on any of this: the cache only memoizes a
 //! pure function of the immutable snapshot, so hits, misses, and
-//! budget-overflow pass-throughs all return bit-identical values.
+//! cap-overflow pass-throughs all return bit-identical values.
 
 use std::cell::RefCell;
 
@@ -30,6 +30,14 @@ use ci_index::DistanceOracle;
 
 /// Row sentinel: the node owns no cache row.
 const NO_ROW: u32 = u32::MAX;
+
+/// Cap on the slots one [`OracleCache`] allocates: 2 million slots ≈ 64 MiB
+/// at the 32-byte slot size — far beyond what the bench workloads touch
+/// (thousands), yet a hard ceiling on adversarial queries with huge matcher
+/// sets. Probes past the cap are answered by the inner oracle directly and
+/// counted in [`CacheStats::overflow`], so results are bit-identical under
+/// the cap; such queries only lose memoization speed.
+pub const DEFAULT_CACHE_ENTRIES: usize = 2_000_000;
 
 /// Probe-level counters of one [`OracleCache`], reported per query
 /// through [`crate::SearchStats::cache`].
@@ -41,9 +49,8 @@ pub struct CacheStats {
     /// overflow pass-through).
     pub misses: usize,
     /// Misses whose result could not be stored because
-    /// [`crate::QueryBudget::max_cache_entries`] was reached. Overflow
-    /// never changes results — the inner oracle's answer is returned
-    /// either way.
+    /// [`DEFAULT_CACHE_ENTRIES`] slots were allocated. Overflow never
+    /// changes results — the inner oracle's answer is returned either way.
     pub overflow: usize,
     /// Cache slots currently allocated (each caches both directions of
     /// one node pair; allocations persist across [`OracleCache::clear`]).
@@ -86,10 +93,10 @@ struct CacheState {
     row_of: Vec<u32>,
     /// Per-row dense column vectors, indexed by the non-owner node id.
     rows: Vec<Vec<Slot>>,
-    /// Total slots allocated across rows (the budgeted quantity).
+    /// Total slots allocated across rows (the capped quantity).
     allocated: usize,
-    /// Slot-allocation cap (`None` = unbounded).
-    budget: Option<usize>,
+    /// Slot-allocation cap: [`DEFAULT_CACHE_ENTRIES`] (tests lower it).
+    cap: usize,
     /// Valid directional entries in the current generation.
     live: usize,
     hits: usize,
@@ -104,7 +111,7 @@ impl Default for CacheState {
             row_of: Vec::new(),
             rows: Vec::new(),
             allocated: 0,
-            budget: None,
+            cap: DEFAULT_CACHE_ENTRIES,
             live: 0,
             hits: 0,
             misses: 0,
@@ -165,7 +172,7 @@ impl CacheState {
     }
 
     /// Stores `value` at `(row, col)` in direction `fwd`, growing the row
-    /// if the slot budget allows. Returns false (and stores nothing) on
+    /// if the slot cap allows. Returns false (and stores nothing) on
     /// overflow.
     fn write(&mut self, row: usize, col: usize, fwd: bool, value: (u32, f64)) -> bool {
         let generation = self.generation;
@@ -174,10 +181,8 @@ impl CacheState {
         };
         if r.len() <= col {
             let growth = col + 1 - r.len();
-            if let Some(cap) = self.budget {
-                if self.allocated.saturating_add(growth) > cap {
-                    return false;
-                }
+            if self.allocated.saturating_add(growth) > self.cap {
+                return false;
             }
             r.resize(col + 1, Slot::default());
             self.allocated += growth;
@@ -291,14 +296,6 @@ impl OracleCache {
         }
     }
 
-    /// Caps the number of allocated slots (`None` = unbounded). Probes
-    /// beyond the cap fall through to the inner oracle and are counted in
-    /// [`CacheStats::overflow`]; already-allocated slots are kept even if
-    /// they exceed a newly-lowered cap.
-    pub fn set_entry_budget(&self, cap: Option<usize>) {
-        self.state.borrow_mut().budget = cap;
-    }
-
     /// Cumulative probe counters (see [`CacheStats`]).
     pub fn stats(&self) -> CacheStats {
         let s = self.state.borrow();
@@ -320,20 +317,6 @@ impl OracleCache {
     }
 }
 
-enum Store<'a> {
-    Owned(OracleCache),
-    Shared(&'a OracleCache),
-}
-
-impl Store<'_> {
-    fn get(&self) -> &OracleCache {
-        match self {
-            Store::Owned(c) => c,
-            Store::Shared(c) => c,
-        }
-    }
-}
-
 /// Memoizing wrapper around a [`DistanceOracle`].
 ///
 /// The branch-and-bound search probes the same (matcher, root) pairs over
@@ -347,41 +330,19 @@ impl Store<'_> {
 /// (both bounds from one lookup) inlines into the cache-miss path.
 pub struct CachedOracle<'a, O: DistanceOracle + ?Sized> {
     inner: &'a O,
-    store: Store<'a>,
+    store: &'a OracleCache,
 }
 
 impl<'a, O: DistanceOracle + ?Sized> CachedOracle<'a, O> {
-    /// Wraps an oracle with a private cache (one query's lifetime).
-    pub fn new(inner: &'a O) -> Self {
-        CachedOracle {
-            inner,
-            store: Store::Owned(OracleCache::new()),
-        }
-    }
-
-    /// Wraps an oracle with an external [`OracleCache`], letting several
-    /// runs within one query session share their memoized probes.
-    pub fn with_store(inner: &'a O, store: &'a OracleCache) -> Self {
-        CachedOracle {
-            inner,
-            store: Store::Shared(store),
-        }
+    /// Wraps an oracle with a borrowed [`OracleCache`], so several runs
+    /// within one query session share their memoized probes.
+    pub fn new(inner: &'a O, store: &'a OracleCache) -> Self {
+        CachedOracle { inner, store }
     }
 
     fn entry(&self, u: NodeId, v: NodeId) -> (u32, f64) {
         self.store
-            .get()
             .get_or_insert_with(u, v, || self.inner.probe(u, v))
-    }
-
-    /// Number of currently-valid cached directional probes (diagnostics).
-    pub fn len(&self) -> usize {
-        self.store.get().len()
-    }
-
-    /// True if nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.store.get().is_empty()
     }
 }
 
@@ -399,7 +360,7 @@ impl<'a, O: DistanceOracle + ?Sized> DistanceOracle for CachedOracle<'a, O> {
     }
 
     fn probe_counters(&self) -> Option<(u64, u64)> {
-        let stats = self.store.get().stats();
+        let stats = self.store.stats();
         let hits = u64::try_from(stats.hits).unwrap_or(u64::MAX);
         let misses = u64::try_from(stats.misses).unwrap_or(u64::MAX);
         Some((hits, misses))
@@ -421,20 +382,28 @@ mod tests {
         }
     }
 
+    /// A cache whose slot cap is `cap` instead of [`DEFAULT_CACHE_ENTRIES`].
+    fn capped(cap: usize) -> OracleCache {
+        let store = OracleCache::new();
+        store.state.borrow_mut().cap = cap;
+        store
+    }
+
     #[test]
     fn caches_after_first_probe() {
         let inner = Counting(RefCell::new(0));
-        let cached = CachedOracle::new(&inner);
-        assert!(cached.is_empty());
+        let store = OracleCache::new();
+        let cached = CachedOracle::new(&inner, &store);
+        assert!(store.is_empty());
         for _ in 0..10 {
             assert_eq!(cached.dist_lb(NodeId(1), NodeId(2)), 3);
             assert_eq!(cached.retention_ub(NodeId(1), NodeId(2)), 0.5);
         }
         assert_eq!(*inner.0.borrow(), 1, "inner probed exactly once");
-        assert_eq!(cached.len(), 1);
+        assert_eq!(store.len(), 1);
         // A different ordered pair probes again (bounds are directional).
         cached.dist_lb(NodeId(2), NodeId(1));
-        assert_eq!(cached.len(), 2);
+        assert_eq!(store.len(), 2);
     }
 
     #[test]
@@ -442,12 +411,12 @@ mod tests {
         let inner = Counting(RefCell::new(0));
         let store = OracleCache::new();
         {
-            let cached = CachedOracle::with_store(&inner, &store);
+            let cached = CachedOracle::new(&inner, &store);
             cached.dist_lb(NodeId(1), NodeId(2));
         }
         assert_eq!(store.len(), 1);
         // A second wrapper over the same store hits the memo, not the inner.
-        let cached = CachedOracle::with_store(&inner, &store);
+        let cached = CachedOracle::new(&inner, &store);
         assert_eq!(cached.dist_lb(NodeId(1), NodeId(2)), 3);
         assert_eq!(*inner.0.borrow(), 1, "second run reused the shared entry");
         store.clear();
@@ -462,7 +431,8 @@ mod tests {
         // are unavailable (the hot path itself never does this).
         let inner = Counting(RefCell::new(0));
         let dyn_inner: &dyn DistanceOracle = &inner;
-        let cached = CachedOracle::new(dyn_inner);
+        let store = OracleCache::new();
+        let cached = CachedOracle::new(dyn_inner, &store);
         cached.dist_lb(NodeId(0), NodeId(1));
         cached.dist_lb(NodeId(0), NodeId(1));
         assert_eq!(*inner.0.borrow(), 1);
@@ -472,7 +442,7 @@ mod tests {
     fn both_directions_share_one_slot() {
         let inner = Counting(RefCell::new(0));
         let store = OracleCache::new();
-        let cached = CachedOracle::with_store(&inner, &store);
+        let cached = CachedOracle::new(&inner, &store);
         cached.dist_lb(NodeId(7), NodeId(3));
         // The reverse probe is a miss (directional bounds) but must reuse
         // node 7's row rather than allocating a row for node 3.
@@ -495,7 +465,7 @@ mod tests {
         let inner = Counting(RefCell::new(0));
         let store = OracleCache::new();
         store.begin_query([NodeId(2), NodeId(5)]);
-        let cached = CachedOracle::with_store(&inner, &store);
+        let cached = CachedOracle::new(&inner, &store);
         // Probe with the matcher on the right: lands in node 5's row
         // (reverse direction) instead of allocating a row for node 9.
         cached.dist_lb(NodeId(9), NodeId(5));
@@ -509,21 +479,20 @@ mod tests {
     }
 
     #[test]
-    fn entry_budget_overflows_gracefully() {
+    fn slot_cap_overflows_gracefully() {
         let inner = Counting(RefCell::new(0));
-        let store = OracleCache::new();
-        store.set_entry_budget(Some(4));
-        let cached = CachedOracle::with_store(&inner, &store);
-        // Row for node 0, columns 0..=3: exactly the 4-slot budget.
+        let store = capped(4);
+        let cached = CachedOracle::new(&inner, &store);
+        // Row for node 0, columns 0..=3: exactly the 4-slot cap.
         assert_eq!(cached.dist_lb(NodeId(0), NodeId(3)), 3);
-        // Column 8 would need 9 slots: over budget, served uncached.
+        // Column 8 would need 9 slots: over the cap, served uncached.
         assert_eq!(cached.dist_lb(NodeId(0), NodeId(8)), 3);
         assert_eq!(cached.dist_lb(NodeId(0), NodeId(8)), 3);
         let stats = store.stats();
         assert_eq!(stats.entries, 4);
         assert_eq!(stats.overflow, 2, "uncacheable probes counted");
         assert_eq!(*inner.0.borrow(), 3, "overflow probes hit the inner");
-        // The budgeted slots still memoize.
+        // The slots under the cap still memoize.
         assert_eq!(cached.dist_lb(NodeId(0), NodeId(3)), 3);
         assert_eq!(*inner.0.borrow(), 3);
     }
@@ -532,7 +501,7 @@ mod tests {
     fn clear_is_generational_and_reuses_allocations() {
         let inner = Counting(RefCell::new(0));
         let store = OracleCache::new();
-        let cached = CachedOracle::with_store(&inner, &store);
+        let cached = CachedOracle::new(&inner, &store);
         cached.dist_lb(NodeId(1), NodeId(6));
         let allocated = store.stats().entries;
         assert!(allocated > 0);
@@ -582,7 +551,7 @@ mod tests {
 #[cfg(test)]
 mod transparency_props {
     //! The cache-transparency contract: wrapping any oracle in
-    //! [`CachedOracle`] (cold or warm store, budgeted or not) changes *no*
+    //! [`CachedOracle`] (cold or warm store, capped or not) changes *no*
     //! observable output of the search — same top-k trees, bitwise-equal
     //! scores, identical `SearchStats` counters. Memoization is allowed to
     //! change how fast answers arrive, never which answers.
@@ -594,7 +563,7 @@ mod transparency_props {
     use ci_rwmp::{Dampening, Scorer};
 
     use crate::bnb::bnb_search;
-    use crate::cache::{CachedOracle, OracleCache};
+    use crate::cache::{CachedOracle, OracleCache, DEFAULT_CACHE_ENTRIES};
     use crate::query::QuerySpec;
     use crate::SearchOptions;
 
@@ -606,10 +575,10 @@ mod transparency_props {
             weights in proptest::collection::vec(1u32..8, 8),
             imp in proptest::collection::vec(1u32..100, 6),
             matcher_sel in proptest::collection::vec(0u8..8, 6),
-            budget_raw in 0usize..64,
+            cap_raw in 0usize..64,
         ) {
-            // 0 plays the role of "no budget" (the shim has no option strategy).
-            let budget = (budget_raw != 0).then_some(budget_raw);
+            // 0 plays the role of the default cap (the shim has no option strategy).
+            let cap = if cap_raw == 0 { DEFAULT_CACHE_ENTRIES } else { cap_raw };
             let mut b = GraphBuilder::new();
             let n: Vec<NodeId> = (0..6).map(|_| b.add_node(0, vec![])).collect();
             let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4), (2, 5)];
@@ -644,9 +613,9 @@ mod transparency_props {
             let (plain_answers, plain_stats) = bnb_search(&scorer, &query, &oracle, &opts);
 
             let store = OracleCache::new();
-            store.set_entry_budget(budget);
+            store.state.borrow_mut().cap = cap;
             for run in ["cold", "warm"] {
-                let cached = CachedOracle::with_store(&oracle, &store);
+                let cached = CachedOracle::new(&oracle, &store);
                 let (answers, stats) = bnb_search(&scorer, &query, &cached, &opts);
                 prop_assert_eq!(stats, plain_stats, "stats diverged ({} cache)", run);
                 prop_assert_eq!(

@@ -156,17 +156,6 @@ impl Candidate {
         true
     }
 
-    /// Children count per position.
-    pub fn child_counts(&self) -> Vec<u32> {
-        let mut c = vec![0u32; self.nodes.len()];
-        for &p in self.parent.iter().skip(1) {
-            if let Some(slot) = c.get_mut(p as usize) {
-                *slot += 1;
-            }
-        }
-        c
-    }
-
     /// Non-root leaf positions (these stay leaves in every extension).
     pub fn frozen_leaves(&self) -> Vec<usize> {
         let mut counts = Vec::new();

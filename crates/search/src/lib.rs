@@ -95,7 +95,7 @@ pub use answer::{score_answer, Answer, TopK};
 pub use bnb::{bnb_search, bnb_search_in, SearchStats};
 pub use bounds::BoundParts;
 pub use budget::{QueryBudget, TruncationReason};
-pub use cache::{CacheStats, CachedOracle, OracleCache};
+pub use cache::{CacheStats, CachedOracle, OracleCache, DEFAULT_CACHE_ENTRIES};
 pub use explain::{explain_answer, ExplainedNode, ExplainedSource, ScoreExplanation};
 pub use naive::naive_search;
 pub use query::{MatcherInfo, QuerySpec, MAX_KEYWORDS};
@@ -138,15 +138,12 @@ pub struct SearchOptions {
     /// nothing and costs one branch per emission site; no level changes
     /// answers, statistics, or replay fingerprints.
     pub trace: TraceLevel,
-    /// Maximum events retained per traced run; later events are counted
-    /// in [`SearchTrace::dropped`] instead of growing the buffer.
-    /// Irrelevant at [`TraceLevel::Off`].
-    pub trace_capacity: usize,
 }
 
-/// Default [`SearchOptions::trace_capacity`]: enough for the full event
-/// stream of typical interactive queries at a few hundred KiB, small
-/// enough that a runaway query cannot balloon the session.
+/// Events a traced run retains; later events are counted in
+/// [`SearchTrace::dropped`] instead of growing the buffer. Enough for the
+/// full event stream of typical interactive queries at a few hundred KiB,
+/// small enough that a runaway query cannot balloon the session.
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 
 impl Default for SearchOptions {
@@ -154,13 +151,12 @@ impl Default for SearchOptions {
         SearchOptions {
             diameter: 4,
             k: 10,
-            max_tree_nodes: 10,
+            max_tree_nodes: 8,
             allow_redundant_matchers: true,
-            budget: QueryBudget::UNLIMITED,
+            budget: QueryBudget::default(),
             naive_max_paths: 256,
             naive_max_combinations: 100_000,
             trace: TraceLevel::Off,
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
         }
     }
 }

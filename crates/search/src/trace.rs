@@ -25,8 +25,8 @@
 //!   answers, statistics, or the replay fingerprints — the determinism
 //!   tests pin this.
 //! * **Bounded memory.** The buffer holds at most
-//!   [`crate::SearchOptions::trace_capacity`] events; further events are
-//!   counted in [`SearchTrace::dropped`] instead of growing the buffer.
+//!   [`crate::DEFAULT_TRACE_CAPACITY`] events; further events are counted
+//!   in [`SearchTrace::dropped`] instead of growing the buffer.
 //!
 //! The event vocabulary is documented in `docs/observability.md`, with an
 //! equation → trace-field mapping table in `docs/paper-map.md`.
@@ -187,23 +187,21 @@ pub enum TraceEvent {
 ///
 /// Owned by the search scratch (one per [`crate::SearchScratch`], recycled
 /// across runs like every other scratch buffer) and re-armed by the run
-/// prologue from [`crate::SearchOptions::trace`] /
-/// [`crate::SearchOptions::trace_capacity`]. Read it after the run via
+/// prologue from [`crate::SearchOptions::trace`]; it keeps at most
+/// [`crate::DEFAULT_TRACE_CAPACITY`] events. Read it after the run via
 /// [`crate::SearchScratch::trace`] (or the engine session's accessor).
 #[derive(Debug, Default, Clone)]
 pub struct SearchTrace {
     level: TraceLevel,
-    cap: usize,
     events: Vec<TraceEvent>,
     dropped: usize,
 }
 
 impl SearchTrace {
-    /// Re-arms the buffer for a new run: sets the level and capacity and
-    /// clears prior events (keeping the allocation for reuse).
-    pub(crate) fn begin(&mut self, level: TraceLevel, cap: usize) {
+    /// Re-arms the buffer for a new run: sets the level and clears prior
+    /// events (keeping the allocation for reuse).
+    pub(crate) fn begin(&mut self, level: TraceLevel) {
         self.level = level;
-        self.cap = cap;
         self.events.clear();
         self.dropped = 0;
     }
@@ -219,7 +217,7 @@ impl SearchTrace {
     /// so disabled runs never construct an event.
     #[inline]
     pub(crate) fn emit(&mut self, event: TraceEvent) {
-        if self.events.len() < self.cap {
+        if self.events.len() < crate::DEFAULT_TRACE_CAPACITY {
             self.events.push(event);
         } else {
             self.dropped += 1;
@@ -291,7 +289,7 @@ mod tests {
     #[test]
     fn off_buffer_never_allocates() {
         let mut t = SearchTrace::default();
-        t.begin(TraceLevel::Off, 1024);
+        t.begin(TraceLevel::Off);
         assert!(!t.level().pops());
         assert_eq!(t.buffer_capacity(), 0);
         assert!(t.events().is_empty());
@@ -301,19 +299,21 @@ mod tests {
     #[test]
     fn capacity_bounds_the_buffer() {
         let mut t = SearchTrace::default();
-        t.begin(TraceLevel::Full, 2);
-        for i in 0..5 {
+        t.begin(TraceLevel::Full);
+        let cap = crate::DEFAULT_TRACE_CAPACITY;
+        for i in 0..cap + 3 {
+            let i = i as u32;
             t.emit(TraceEvent::Grow {
                 from_root: NodeId(i),
                 added: NodeId(i + 1),
             });
         }
-        assert_eq!(t.events().len(), 2);
+        assert_eq!(t.events().len(), cap);
         assert_eq!(t.dropped(), 3);
-        assert_eq!(t.counts().grows, 2);
+        assert_eq!(t.counts().grows, cap);
         // Re-arming clears events but keeps the allocation.
         let cap = t.buffer_capacity();
-        t.begin(TraceLevel::Full, 2);
+        t.begin(TraceLevel::Full);
         assert!(t.events().is_empty());
         assert_eq!(t.dropped(), 0);
         assert_eq!(t.buffer_capacity(), cap);
@@ -330,7 +330,7 @@ mod tests {
     #[test]
     fn counts_tally_each_kind() {
         let mut t = SearchTrace::default();
-        t.begin(TraceLevel::Full, 64);
+        t.begin(TraceLevel::Full);
         t.emit(TraceEvent::Pop {
             idx: 0,
             root: NodeId(1),

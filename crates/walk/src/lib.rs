@@ -6,14 +6,12 @@
 //! the teleportation constant (the paper uses the typical value 0.15), and
 //! `u` the teleportation vector.
 //!
-//! Three solvers are provided:
+//! Both solvers run power iteration:
 //!
-//! * [`pagerank`] — power iteration with a uniform teleport vector;
-//! * [`pagerank_personalized`] — power iteration with a caller-supplied
-//!   teleport vector, used for the user-feedback biasing the paper applies
-//!   with its labeled AOL queries (and lists as future work to extend);
-//! * [`monte_carlo`] — a Monte-Carlo estimator, the simulation alternative
-//!   the paper mentions for Eq. 1.
+//! * [`pagerank`] — with a uniform teleport vector;
+//! * [`pagerank_personalized`] — with a caller-supplied teleport vector,
+//!   used for the user-feedback biasing the paper applies with its labeled
+//!   AOL queries (and lists as future work to extend).
 //!
 //! The result is wrapped in [`Importance`], which also carries `p_min`
 //! (the smallest importance), because RWMP's dampening function (Eq. 2) and
@@ -56,13 +54,12 @@
 // here (ISSUE 1); use the checked conversion helpers instead.
 #![deny(clippy::cast_possible_truncation, clippy::float_cmp)]
 #![cfg_attr(test, allow(clippy::cast_possible_truncation, clippy::float_cmp))]
+#![warn(missing_docs)]
 
 mod importance;
-mod monte_carlo;
 mod power;
 
 pub use importance::Importance;
-pub use monte_carlo::monte_carlo;
 pub use power::{
     pagerank, pagerank_personalized, pagerank_personalized_with_stats, pagerank_with_stats,
     Convergence, PowerOptions,

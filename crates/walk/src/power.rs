@@ -11,11 +11,11 @@ pub struct PowerOptions {
     pub epsilon: f64,
     /// Iteration cap.
     pub max_iterations: usize,
-    /// Worker threads for the per-iteration matvec. `1` (the default) runs
-    /// the serial scatter loop; larger values gather over a precomputed
-    /// edge transpose in contiguous destination chunks. The gather adds
-    /// each slot's contributions in the same source order as the serial
-    /// scatter, so the iterates — and therefore importance, convergence
+    /// Worker threads for the per-iteration matvec, which gathers over a
+    /// precomputed edge transpose in contiguous destination chunks. `1`
+    /// (the default) runs the gather inline without spawning. Each slot
+    /// adds its contributions in ascending source order whatever the chunk
+    /// boundaries, so the iterates — and therefore importance, convergence
     /// counts, and residuals — are bit-identical at every thread count.
     pub threads: usize,
 }
@@ -99,9 +99,7 @@ fn solve(graph: &Graph, opts: PowerOptions, u: &[f64]) -> (Importance, Convergen
     let n = graph.node_count();
     let c = opts.teleport;
     let threads = opts.threads.max(1).min(n.max(1));
-    // The transpose is only needed by the parallel gather; `threads == 1`
-    // keeps the original scatter loop (and allocates nothing extra).
-    let transpose = (threads > 1).then(|| Transpose::build(graph));
+    let transpose = Transpose::build(graph);
     let mut p = u.to_vec();
     let mut next = vec![0.0f64; n];
     let mut report = Convergence {
@@ -111,10 +109,9 @@ fn solve(graph: &Graph, opts: PowerOptions, u: &[f64]) -> (Importance, Convergen
     };
     for _ in 0..opts.max_iterations {
         // Dangling nodes (no out-edges) teleport with probability 1: their
-        // walk mass is redistributed via u. Summed over ascending node ids
-        // — the same accumulation order as the serial scatter loop used —
-        // so the redistribution term is bit-identical at every thread
-        // count.
+        // walk mass is redistributed via u. Summed serially over ascending
+        // node ids, so the redistribution term is bit-identical at every
+        // thread count.
         let mut dangling = 0.0;
         for v in graph.nodes() {
             if graph.out_degree(v) == 0 {
@@ -122,10 +119,7 @@ fn solve(graph: &Graph, opts: PowerOptions, u: &[f64]) -> (Importance, Convergen
             }
         }
         let redistribute = c + (1.0 - c) * dangling;
-        match &transpose {
-            None => scatter_matvec(graph, c, &p, u, redistribute, &mut next),
-            Some(t) => t.gather_matvec(threads, c, &p, u, redistribute, &mut next),
-        }
+        transpose.gather_matvec(threads, c, &p, u, redistribute, &mut next);
         let delta: f64 = next.iter().zip(p.iter()).map(|(a, b)| (a - b).abs()).sum();
         std::mem::swap(&mut p, &mut next);
         report.iterations += 1;
@@ -138,40 +132,13 @@ fn solve(graph: &Graph, opts: PowerOptions, u: &[f64]) -> (Importance, Convergen
     (Importance::new(p), report)
 }
 
-/// One matvec step of Eq. 1 in scatter (push) form: for each source node in
-/// ascending id order, push `(1−c)·p_v·w` along every out-edge, then add the
-/// teleport/dangling redistribution. This is the reference float-reduction
-/// order the parallel gather reproduces exactly.
-fn scatter_matvec(
-    graph: &Graph,
-    c: f64,
-    p: &[f64],
-    u: &[f64],
-    redistribute: f64,
-    next: &mut [f64],
-) {
-    next.iter_mut().for_each(|x| *x = 0.0);
-    for v in graph.nodes() {
-        let mass = p.get(v.idx()).copied().unwrap_or(0.0);
-        for e in graph.edges(v) {
-            if let Some(slot) = next.get_mut(e.to.idx()) {
-                *slot += (1.0 - c) * mass * e.norm_weight;
-            }
-        }
-    }
-    for (slot, mass) in next.iter_mut().zip(u.iter()) {
-        *slot += redistribute * mass;
-    }
-}
-
 /// In-edge adjacency (CSR transpose) for the gather form of the matvec.
 ///
 /// Built by scanning source nodes in ascending id order, so each
-/// destination's in-edge list is sorted by (source id, source edge order)
-/// — exactly the order in which [`scatter_matvec`] adds contributions to
-/// that destination's slot. A gather that walks the list front to back
-/// therefore performs the identical sequence of f64 additions per slot,
-/// making the parallel result bit-equal to the serial one.
+/// destination's in-edge list is sorted by (source id, source edge order).
+/// A gather that walks the list front to back performs the same sequence
+/// of f64 additions per slot however the destinations are split across
+/// workers, making the result bit-equal at every thread count.
 struct Transpose {
     /// Per-destination offsets into `srcs`/`weights` (`node_count + 1`).
     offsets: Vec<usize>,
@@ -223,10 +190,11 @@ impl Transpose {
         }
     }
 
-    /// The matvec in gather (pull) form, fanned out over `threads` scoped
-    /// workers owning contiguous, disjoint destination chunks. Per slot the
-    /// additions run in the same order as [`scatter_matvec`]: in-edge
-    /// contributions sorted by source, then the redistribution term.
+    /// One matvec step of Eq. 1 in gather (pull) form: each destination
+    /// slot sums `(1−c)·p_v·w` over its in-edges in ascending source
+    /// order, then adds the teleport/dangling redistribution. With
+    /// `threads > 1` the slots are split into contiguous, disjoint chunks
+    /// over scoped workers; with one thread the loop runs inline.
     fn gather_matvec(
         &self,
         threads: usize,
@@ -236,25 +204,30 @@ impl Transpose {
         redistribute: f64,
         next: &mut [f64],
     ) {
+        let fill = |start: usize, out: &mut [f64]| {
+            for (off, slot) in out.iter_mut().enumerate() {
+                let j = start + off;
+                let lo = self.offsets.get(j).copied().unwrap_or(0);
+                let hi = self.offsets.get(j + 1).copied().unwrap_or(lo);
+                let in_srcs = self.srcs.get(lo..hi).unwrap_or(&[]);
+                let in_weights = self.weights.get(lo..hi).unwrap_or(&[]);
+                let mut acc = 0.0f64;
+                for (src, w) in in_srcs.iter().zip(in_weights) {
+                    let mass = p.get(src.idx()).copied().unwrap_or(0.0);
+                    acc += (1.0 - c) * mass * w;
+                }
+                *slot = acc + redistribute * u.get(j).copied().unwrap_or(0.0);
+            }
+        };
+        if threads <= 1 {
+            fill(0, next);
+            return;
+        }
         let chunk = next.len().div_ceil(threads).max(1);
         std::thread::scope(|s| {
             for (ci, out) in next.chunks_mut(chunk).enumerate() {
-                let start = ci * chunk;
-                s.spawn(move || {
-                    for (off, slot) in out.iter_mut().enumerate() {
-                        let j = start + off;
-                        let lo = self.offsets.get(j).copied().unwrap_or(0);
-                        let hi = self.offsets.get(j + 1).copied().unwrap_or(lo);
-                        let in_srcs = self.srcs.get(lo..hi).unwrap_or(&[]);
-                        let in_weights = self.weights.get(lo..hi).unwrap_or(&[]);
-                        let mut acc = 0.0f64;
-                        for (src, w) in in_srcs.iter().zip(in_weights) {
-                            let mass = p.get(src.idx()).copied().unwrap_or(0.0);
-                            acc += (1.0 - c) * mass * w;
-                        }
-                        *slot = acc + redistribute * u.get(j).copied().unwrap_or(0.0);
-                    }
-                });
+                let fill = &fill;
+                s.spawn(move || fill(ci * chunk, out));
             }
         });
     }
@@ -379,12 +352,9 @@ mod tests {
         assert_eq!(starved.iterations, 5);
     }
 
-    #[test]
-    fn parallel_matvec_is_bit_identical() {
-        // Asymmetric weights, a dangling node, and a cycle: every code path
-        // of the matvec. The gather at 2/3/8 threads must reproduce the
-        // serial scatter bit for bit, residuals and iteration counts
-        // included.
+    /// Asymmetric weights, a dangling node, and a cycle: every code path
+    /// of the matvec.
+    fn lopsided() -> Graph {
         let mut b = GraphBuilder::new();
         let n: Vec<NodeId> = (0..7).map(|i| b.add_node((i % 2) as u16, vec![])).collect();
         b.add_pair(n[0], n[1], 3.0, 1.0);
@@ -394,7 +364,49 @@ mod tests {
         b.add_pair(n[2], n[4], 1.0, 7.0);
         b.add_edge(n[4], n[5], 2.0); // n5 left dangling on purpose
         b.add_pair(n[0], n[6], 1.0, 1.0);
-        let g = b.build();
+        b.build()
+    }
+
+    /// The matvec in scatter (push) form: each source, in ascending id
+    /// order, pushes `(1−c)·p_v·w` along its out-edges, then every slot
+    /// adds the redistribution term.
+    fn push_matvec(graph: &Graph, c: f64, p: &[f64], u: &[f64], redistribute: f64) -> Vec<f64> {
+        let mut next = vec![0.0; graph.node_count()];
+        for v in graph.nodes() {
+            for e in graph.edges(v) {
+                next[e.to.idx()] += (1.0 - c) * p[v.idx()] * e.norm_weight;
+            }
+        }
+        for (slot, mass) in next.iter_mut().zip(u) {
+            *slot += redistribute * mass;
+        }
+        next
+    }
+
+    #[test]
+    fn gather_reproduces_the_scatter_addition_order() {
+        // Same f64 additions per slot in the same order, so the pull form
+        // equals the push form bit for bit at any worker count.
+        let g = lopsided();
+        let n = g.node_count();
+        let p: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 1.7)).collect();
+        let u = vec![1.0 / n as f64; n];
+        let expected = push_matvec(&g, 0.15, &p, &u, 0.3);
+        let transpose = Transpose::build(&g);
+        for threads in [1, 2, 3, 8] {
+            let mut next = vec![f64::NAN; n];
+            transpose.gather_matvec(threads, 0.15, &p, &u, 0.3, &mut next);
+            let got: Vec<u64> = next.iter().map(|x| x.to_bits()).collect();
+            let want: Vec<u64> = expected.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "{threads} threads diverged from the scatter");
+        }
+    }
+
+    #[test]
+    fn parallel_matvec_is_bit_identical() {
+        // The inline single-thread gather and the chunked multi-thread one
+        // agree bit for bit, residuals and iteration counts included.
+        let g = lopsided();
         let (serial, serial_conv) = pagerank_with_stats(&g, PowerOptions::default());
         for threads in [2, 3, 8] {
             let (par, conv) = pagerank_with_stats(

@@ -44,6 +44,13 @@
 //!    does `query.rs`'s per-query matcher map (built once per query,
 //!    outside the loop). A `LINT-EXEMPT(reason)` comment within 8 lines
 //!    above the use exempts audited cases.
+//! 7. **No release asserts in the branch-and-bound inner loop** — the
+//!    files of rule 6 must not call `assert!`, `assert_eq!` or
+//!    `assert_ne!` outside their test modules: a release-mode assert is a
+//!    panic path the `clippy::panic` wall cannot see. Use `debug_assert!`
+//!    with a safe fallback, or gate the check behind
+//!    `#[cfg(any(debug_assertions, feature = "strict-invariants"))]`; a
+//!    `LINT-EXEMPT(reason)` comment within 8 lines above also exempts it.
 //!
 //! The checker is deliberately textual (the offline build environment has
 //! no `syn`); the heuristics below are documented inline and tuned to this
@@ -78,6 +85,20 @@ const LIBRARY_CRATES: &[&str] = &[
 /// How many lines above a site a `LINT-EXEMPT` comment still covers it.
 const EXEMPT_WINDOW: usize = 8;
 
+/// The files the per-candidate branch-and-bound hot path runs through
+/// (rules 6 and 7).
+const INNER_LOOP_FILES: &[&str] = &[
+    "crates/search/src/bnb.rs",
+    "crates/search/src/bounds.rs",
+    "crates/search/src/cache.rs",
+    "crates/search/src/candidate.rs",
+    "crates/search/src/scratch.rs",
+    "crates/search/src/flows.rs",
+];
+
+/// The attribute that compiles a block only into checked builds (rule 7).
+const CHECKED_BUILD_GATE: &str = "#[cfg(any(debug_assertions, feature = \"strict-invariants\"))]";
+
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
@@ -108,6 +129,7 @@ fn lint() -> ExitCode {
     }
     check_no_dyn_oracle(&root, &mut findings);
     check_no_inner_loop_maps(&root, &mut findings);
+    check_no_release_asserts(&root, &mut findings);
 
     if findings.is_empty() {
         println!("xtask lint: ok");
@@ -216,13 +238,7 @@ fn check_tagged_allows(src_dir: &Path, findings: &mut Vec<String>) {
             if !is_allow {
                 continue;
             }
-            let start = n.saturating_sub(EXEMPT_WINDOW);
-            let covered = lines
-                .get(start..n)
-                .unwrap_or(&[])
-                .iter()
-                .any(|l| l.contains("LINT-EXEMPT("));
-            if !covered {
+            if !exempt_tagged(&lines, n) {
                 findings.push(format!(
                     "{}:{}: #[allow] in a hot-path crate without a \
                      LINT-EXEMPT(reason) comment",
@@ -268,13 +284,7 @@ fn check_no_panicking(src_dir: &Path, findings: &mut Vec<String>) {
             }
             // `debug_assert!(...)`-style lines are fine; `unwrap_or*` is
             // non-panicking and excluded by the exact `.unwrap()` pattern.
-            let start = n.saturating_sub(EXEMPT_WINDOW);
-            let covered = lines
-                .get(start..n)
-                .unwrap_or(&[])
-                .iter()
-                .any(|l| l.contains("LINT-EXEMPT("));
-            if !covered {
+            if !exempt_tagged(&lines, n) {
                 findings.push(format!(
                     "{}:{}: panicking construct in library code without a \
                      LINT-EXEMPT(reason) tag",
@@ -319,13 +329,7 @@ fn detached_spawn_hits(src: &str) -> Vec<usize> {
         if !strip_strings(line).contains("thread::spawn") {
             continue;
         }
-        let start = n.saturating_sub(EXEMPT_WINDOW);
-        let covered = lines
-            .get(start..n)
-            .unwrap_or(&[])
-            .iter()
-            .any(|l| l.contains("LINT-EXEMPT("));
-        if !covered {
+        if !exempt_tagged(&lines, n) {
             hits.push(n + 1);
         }
     }
@@ -366,14 +370,6 @@ fn check_no_dyn_oracle(root: &Path, findings: &mut Vec<String>) {
 /// pooled arena); this keeps them from regressing. Tests may still use
 /// maps, and an audited use can be tagged `LINT-EXEMPT(reason)`.
 fn check_no_inner_loop_maps(root: &Path, findings: &mut Vec<String>) {
-    const INNER_LOOP_FILES: &[&str] = &[
-        "crates/search/src/bnb.rs",
-        "crates/search/src/bounds.rs",
-        "crates/search/src/cache.rs",
-        "crates/search/src/candidate.rs",
-        "crates/search/src/scratch.rs",
-        "crates/search/src/flows.rs",
-    ];
     for rel in INNER_LOOP_FILES {
         let path = root.join(rel);
         let Ok(src) = fs::read_to_string(&path) else {
@@ -393,6 +389,89 @@ fn check_no_inner_loop_maps(root: &Path, findings: &mut Vec<String>) {
     }
 }
 
+/// Rule 7: no release-mode asserts in the branch-and-bound inner-loop
+/// files. Checks compiled only into debug and `strict-invariants` builds
+/// stay legal, as do audited `LINT-EXEMPT(reason)` sites.
+fn check_no_release_asserts(root: &Path, findings: &mut Vec<String>) {
+    for rel in INNER_LOOP_FILES {
+        let path = root.join(rel);
+        let Ok(src) = fs::read_to_string(&path) else {
+            findings.push(format!("{}: cannot read file", path.display()));
+            continue;
+        };
+        for n in release_assert_hits(&src) {
+            findings.push(format!(
+                "{}:{}: release-mode assert in a branch-and-bound inner-loop \
+                 file — use `debug_assert!` with a safe fallback, or gate it \
+                 behind {CHECKED_BUILD_GATE}",
+                path.display(),
+                n
+            ));
+        }
+    }
+}
+
+/// 1-based line numbers in the non-test region of `src` that call
+/// `assert!`, `assert_eq!` or `assert_ne!` (not their `debug_` forms)
+/// outside comments, string literals, code gated by
+/// [`CHECKED_BUILD_GATE`], and `LINT-EXEMPT` coverage.
+///
+/// The gate covers the item or statement after the attribute: up to the
+/// line where its braces close, or, for a brace-less one, the line that
+/// ends it with `;` or `,`.
+fn release_assert_hits(src: &str) -> Vec<usize> {
+    let lines: Vec<&str> = non_test_region(src).collect();
+    let mut hits = Vec::new();
+    let mut depth: i64 = 0;
+    // Brace depth at the gate attribute, and whether its block opened.
+    let mut gate: Option<(i64, bool)> = None;
+    for (n, line) in lines.iter().enumerate() {
+        let t = line.trim_start();
+        if t.starts_with("//") {
+            continue;
+        }
+        let code = strip_strings(line);
+        let code = code.split("//").next().unwrap_or("");
+        if t.starts_with(CHECKED_BUILD_GATE) {
+            gate = Some((depth, false));
+            continue;
+        }
+        depth += code.matches('{').count() as i64 - code.matches('}').count() as i64;
+        if let Some((at, opened)) = gate {
+            let opened = opened || depth > at;
+            let ended = if opened {
+                depth <= at
+            } else {
+                code.trim_end().ends_with(';') || code.trim_end().ends_with(',')
+            };
+            gate = (!ended).then_some((at, opened));
+            continue;
+        }
+        if !calls_release_assert(code) {
+            continue;
+        }
+        if !exempt_tagged(&lines, n) {
+            hits.push(n + 1);
+        }
+    }
+    hits
+}
+
+/// True if `code` calls `assert!`, `assert_eq!` or `assert_ne!` as a
+/// whole word (so `debug_assert!` and friends do not match).
+fn calls_release_assert(code: &str) -> bool {
+    ["assert!(", "assert_eq!(", "assert_ne!("]
+        .iter()
+        .any(|mac| {
+            code.match_indices(mac).any(|(at, _)| {
+                !code
+                    .get(..at)
+                    .and_then(|before| before.chars().next_back())
+                    .is_some_and(|c| c.is_alphanumeric() || c == '_')
+            })
+        })
+}
+
 /// 1-based line numbers in the non-test region of `src` that mention
 /// `HashMap` or `BTreeMap` outside comments, string literals, and
 /// `LINT-EXEMPT` coverage.
@@ -407,13 +486,7 @@ fn inner_loop_map_hits(src: &str) -> Vec<usize> {
         if !code.contains("HashMap") && !code.contains("BTreeMap") {
             continue;
         }
-        let start = n.saturating_sub(EXEMPT_WINDOW);
-        let covered = lines
-            .get(start..n)
-            .unwrap_or(&[])
-            .iter()
-            .any(|l| l.contains("LINT-EXEMPT("));
-        if !covered {
+        if !exempt_tagged(&lines, n) {
             hits.push(n + 1);
         }
     }
@@ -433,20 +506,24 @@ fn dyn_oracle_hits(src: &str) -> Vec<usize> {
         .collect()
 }
 
+/// True if a `LINT-EXEMPT(` tag sits within [`EXEMPT_WINDOW`] lines above
+/// line `n` (0-based) of `lines`.
+fn exempt_tagged(lines: &[&str], n: usize) -> bool {
+    lines
+        .get(n.saturating_sub(EXEMPT_WINDOW)..n)
+        .unwrap_or(&[])
+        .iter()
+        .any(|l| l.contains("LINT-EXEMPT("))
+}
+
 /// True if the file carries a module-level `#![allow(...)]` under a
 /// `LINT-EXEMPT` tag (the whole file is then an audited exemption).
 fn file_has_tagged_allow(src: &str) -> bool {
     let lines: Vec<&str> = src.lines().collect();
-    lines.iter().enumerate().any(|(n, l)| {
-        l.trim_start().starts_with("#![allow(") && {
-            let start = n.saturating_sub(EXEMPT_WINDOW);
-            lines
-                .get(start..n)
-                .unwrap_or(&[])
-                .iter()
-                .any(|p| p.contains("LINT-EXEMPT("))
-        }
-    })
+    lines
+        .iter()
+        .enumerate()
+        .any(|(n, l)| l.trim_start().starts_with("#![allow(") && exempt_tagged(&lines, n))
 }
 
 /// True if an enclosing `mod.rs` (between the file and the crate's `src/`)
@@ -588,6 +665,41 @@ mod tests {
         let exempted = "// LINT-EXEMPT(demo): audited cold-path map\n\
                         use std::collections::HashMap;\n";
         assert!(inner_loop_map_hits(exempted).is_empty());
+    }
+
+    #[test]
+    fn release_asserts_flagged_gated_and_debug_asserts_legal() {
+        let bare = "fn f(x: u32) {\n    assert!(x > 0, \"positive\");\n}\n";
+        assert_eq!(release_assert_hits(bare), vec![2]);
+        let eq = "fn f(a: u32) {\n    assert_eq!(a, 1);\n    assert_ne!(a, 2);\n}\n";
+        assert_eq!(release_assert_hits(eq), vec![2, 3]);
+        let debug = "fn f(x: u32) {\n    debug_assert!(x > 0);\n    debug_assert_eq!(x, 1);\n}\n";
+        assert!(release_assert_hits(debug).is_empty());
+        let gated = format!(
+            "fn f(x: u32) {{\n    {CHECKED_BUILD_GATE}\n    {{\n        \
+             assert!(x > 0);\n    }}\n}}\n"
+        );
+        assert!(release_assert_hits(&gated).is_empty());
+        let gated_if = format!(
+            "fn f(x: u32) {{\n    {CHECKED_BUILD_GATE}\n    if x > 1 {{\n        \
+             assert!(x > 0);\n    }}\n    assert!(x > 2);\n}}\n"
+        );
+        assert_eq!(
+            release_assert_hits(&gated_if),
+            vec![6],
+            "the gate ends with its block"
+        );
+        let gated_field = format!(
+            "struct S {{\n    {CHECKED_BUILD_GATE}\n    last: u32,\n}}\n\
+             fn f(x: u32) {{\n    assert!(x > 0);\n}}\n"
+        );
+        assert_eq!(release_assert_hits(&gated_field), vec![6]);
+        let in_tests = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { assert!(true); }\n}\n";
+        assert!(release_assert_hits(in_tests).is_empty());
+        let in_comment = "// assert!(x) used to live here\nlet s = \"assert!(\";\n";
+        assert!(release_assert_hits(in_comment).is_empty());
+        let exempted = "// LINT-EXEMPT(demo): audited release check\nassert!(ok);\n";
+        assert!(release_assert_hits(exempted).is_empty());
     }
 
     #[test]

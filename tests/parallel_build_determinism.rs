@@ -3,10 +3,10 @@
 //! The build pipeline fans out over `CiRankConfig::build_threads` workers
 //! in two places: the power-iteration matvec behind the importance vector
 //! (Eq. 1) and the per-source traversals of the §V distance indexes. Both
-//! are engineered to be *bit-identical* to the serial path — the matvec
-//! gathers over a transpose whose in-edge order reproduces the serial
-//! scatter's float-addition order, and index rows are merged back in
-//! source order. This harness is the contract: snapshots built at 1, 2,
+//! are engineered to be *bit-identical* at every thread count — the
+//! matvec gathers over a transpose whose in-edge lists are sorted by
+//! source, so each slot adds its terms in the same order however the
+//! slots are split, and index rows are merged back in source order. This harness is the contract: snapshots built at 1, 2,
 //! and 8 threads over generated datasets must agree byte-for-byte on the
 //! `DS`/`LS` tables and bit-for-bit on the importance and dampening
 //! vectors, and a replayed query workload must return identical top-k
