@@ -1,15 +1,14 @@
 //! Microbenchmarks for the query hot path's two data-structure bets:
 //!
-//! * **Oracle probes** — the flat generational [`ci_search::OracleCache`]
-//!   slab versus the `HashMap`-memo design it replaced. The replayed probe
+//! * **Oracle probes** — the flat [`ci_search::OracleCache`] slab versus
+//!   the `HashMap`-memo design it replaced. The replayed probe
 //!   sequence mimics branch-and-bound bound computation: a handful of
 //!   matcher rows probed against a sweep of candidate roots, with heavy
 //!   repetition (every candidate sharing a root repeats its matchers'
 //!   probes).
-//! * **Bound computation** — [`ci_search::upper_bound`] recomputing flows
-//!   from scratch versus [`ci_search::upper_bound_from`] reusing the
-//!   incrementally maintained [`ci_search::FlowState`] a candidate carries,
-//!   which is what the search loop actually does per admission.
+//! * **Bound computation** — [`ci_search::upper_bound`]:
+//!   [`ci_search::compute_flows`] followed by the bound, which is exactly
+//!   the work branch-and-bound admission does per surviving candidate.
 //!
 //! These use the `#[doc(hidden)]` hot-path re-exports from `ci-search`;
 //! they are not a stable API.
@@ -29,10 +28,7 @@ use std::collections::HashMap;
 use ci_graph::{GraphBuilder, NodeId};
 use ci_index::{DistanceOracle, NoIndex};
 use ci_rwmp::{Dampening, Scorer};
-use ci_search::{
-    compute_flows, upper_bound, upper_bound_from, CachedOracle, Candidate, FlowState, OracleCache,
-    QuerySpec,
-};
+use ci_search::{upper_bound, CachedOracle, Candidate, OracleCache, QuerySpec};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 /// A synthetic oracle with a small arithmetic cost per probe — enough that
@@ -99,11 +95,10 @@ fn bench_oracle_probes(c: &mut Criterion) {
     let oracle = ArithOracle;
 
     group.bench_function("flat_cache", |b| {
-        // One persistent store, like a query session: cleared per
-        // iteration so each sample replays the same cold-to-warm run.
-        let store = OracleCache::new();
+        // A fresh store per iteration, like the `HashMap` arm: each sample
+        // replays the same cold-to-warm run.
         b.iter(|| {
-            store.clear();
+            let store = OracleCache::new();
             store.begin_query((0..3).map(|m| NodeId(m * 131)));
             let cached = CachedOracle::new(&oracle, &store);
             let mut acc = 0u64;
@@ -162,19 +157,11 @@ fn bench_bound_computation(c: &mut Criterion) {
     for v in 1..=5u32 {
         cand = cand.grow(NodeId(v), &query);
     }
-    let mut flows = FlowState::default();
-    compute_flows(&scorer, &query, &cand, &mut flows);
 
+    // Flows from scratch plus the bound: what `admit` does per candidate,
+    // except that admission refills one flow buffer instead of allocating.
     group.bench_function("from_scratch", |b| {
         b.iter(|| black_box(upper_bound(&scorer, &query, &oracle, &cand, true)))
-    });
-
-    group.bench_function("incremental_flows", |b| {
-        b.iter(|| {
-            black_box(upper_bound_from(
-                &scorer, &query, &oracle, &cand, &flows, true,
-            ))
-        })
     });
 
     group.finish();

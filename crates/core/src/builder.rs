@@ -134,6 +134,7 @@ impl EngineBuilder {
         if db.tuple_count() == 0 {
             return Err(CiRankError::EmptyDatabase);
         }
+        check_constants(&self.cfg)?;
         let cfg = self.cfg.clone();
         let threads = cfg.build_threads.max(1);
 
@@ -167,6 +168,9 @@ impl EngineBuilder {
         // Stage 3: random-walk node importance (Eq. 1). The power-iteration
         // matvec fans out over `build_threads` workers and is bit-identical
         // at every thread count (see `PowerOptions::threads`).
+        if let ImportanceMethod::Personalized(u) = &cfg.importance {
+            check_teleport_vector(u, graph.node_count())?;
+        }
         self.enter(BuildStage::Importance, threads);
         let power = PowerOptions {
             teleport: cfg.teleport,
@@ -237,6 +241,45 @@ impl EngineBuilder {
             relation_names,
         ))
     }
+}
+
+fn invalid(field: &'static str, expected: &'static str) -> Result<()> {
+    Err(CiRankError::InvalidConfig { field, expected })
+}
+
+/// Rejects Eq. 1 and Eq. 2 constants outside their domains, which the
+/// importance and dampening stages would otherwise panic on.
+fn check_constants(cfg: &CiRankConfig) -> Result<()> {
+    let open_unit = |x: f64| x > 0.0 && x < 1.0;
+    if !open_unit(cfg.alpha) {
+        return invalid("alpha", "in (0, 1)");
+    }
+    if cfg.g.is_nan() || cfg.g <= 1.0 {
+        return invalid("g", "greater than 1");
+    }
+    if !open_unit(cfg.teleport) {
+        return invalid("teleport", "in (0, 1)");
+    }
+    Ok(())
+}
+
+/// Rejects a personalized teleport vector that does not fit the graph:
+/// one finite, non-negative entry per node, with positive mass.
+fn check_teleport_vector(u: &[f64], nodes: usize) -> Result<()> {
+    const FIELD: &str = "importance";
+    if u.len() != nodes {
+        return invalid(FIELD, "a personalized vector with one entry per graph node");
+    }
+    if !u.iter().all(|x| x.is_finite() && *x >= 0.0) {
+        return invalid(
+            FIELD,
+            "a personalized vector of finite, non-negative entries",
+        );
+    }
+    if u.iter().sum::<f64>() <= 0.0 {
+        return invalid(FIELD, "a personalized vector with a positive sum");
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -314,6 +357,89 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, CiRankError::EmptyDatabase);
         assert!(seen.borrow().is_empty());
+    }
+
+    /// Builds `tiny_db` with `cfg` and asserts it fails with
+    /// `InvalidConfig` naming `field`, after exactly `stages` reported.
+    fn assert_rejected(cfg: CiRankConfig, field: &str, stages: &[BuildStage]) {
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let sink = Rc::clone(&seen);
+        let err = EngineBuilder::new(CiRankConfig {
+            weights: WeightConfig::dblp_default(),
+            ..cfg
+        })
+        .on_stage_report(move |r| sink.borrow_mut().push(r.stage))
+        .build(&tiny_db())
+        .unwrap_err();
+        assert!(
+            matches!(err, CiRankError::InvalidConfig { field: f, .. } if f == field),
+            "{err:?}"
+        );
+        assert_eq!(seen.borrow().as_slice(), stages);
+    }
+
+    #[test]
+    fn alpha_zero_is_rejected() {
+        let cfg = CiRankConfig {
+            alpha: 0.0,
+            ..Default::default()
+        };
+        assert_rejected(cfg, "alpha", &[]);
+    }
+
+    #[test]
+    fn alpha_above_one_is_rejected() {
+        let cfg = CiRankConfig {
+            alpha: 1.5,
+            ..Default::default()
+        };
+        assert_rejected(cfg, "alpha", &[]);
+    }
+
+    #[test]
+    fn alpha_nan_is_rejected() {
+        let cfg = CiRankConfig {
+            alpha: f64::NAN,
+            ..Default::default()
+        };
+        assert_rejected(cfg, "alpha", &[]);
+    }
+
+    #[test]
+    fn group_size_one_is_rejected() {
+        let cfg = CiRankConfig {
+            g: 1.0,
+            ..Default::default()
+        };
+        assert_rejected(cfg, "g", &[]);
+    }
+
+    #[test]
+    fn teleport_zero_is_rejected() {
+        let cfg = CiRankConfig {
+            teleport: 0.0,
+            ..Default::default()
+        };
+        assert_rejected(cfg, "teleport", &[]);
+    }
+
+    #[test]
+    fn personalized_vector_of_wrong_length_is_rejected() {
+        // `tiny_db` maps to 2 graph nodes; the check runs before stage 3.
+        let cfg = CiRankConfig {
+            importance: ImportanceMethod::Personalized(vec![1.0, 1.0, 1.0]),
+            ..Default::default()
+        };
+        assert_rejected(cfg, "importance", &[BuildStage::Graph]);
+    }
+
+    #[test]
+    fn personalized_vector_with_negative_entry_is_rejected() {
+        let cfg = CiRankConfig {
+            importance: ImportanceMethod::Personalized(vec![1.0, -0.5]),
+            ..Default::default()
+        };
+        assert_rejected(cfg, "importance", &[BuildStage::Graph]);
     }
 
     #[test]

@@ -10,6 +10,13 @@ pub enum CiRankError {
     TooManyKeywords(usize),
     /// The database was empty — there is nothing to search.
     EmptyDatabase,
+    /// A [`crate::CiRankConfig`] field holds a value outside its domain.
+    InvalidConfig {
+        /// The offending field.
+        field: &'static str,
+        /// The values the field accepts.
+        expected: &'static str,
+    },
     /// A tree passed to [`crate::EngineSnapshot::explain`] contains no
     /// node matching the query — it is not an answer, so it has no score
     /// to decompose.
@@ -29,6 +36,9 @@ impl fmt::Display for CiRankError {
                 )
             }
             CiRankError::EmptyDatabase => write!(f, "the database contains no tuples"),
+            CiRankError::InvalidConfig { field, expected } => {
+                write!(f, "invalid configuration: `{field}` must be {expected}")
+            }
             CiRankError::NotAnAnswer => {
                 write!(f, "the tree matches no query keyword; nothing to explain")
             }
@@ -60,6 +70,11 @@ mod tests {
     fn display_and_source() {
         assert!(CiRankError::EmptyQuery.to_string().contains("no keywords"));
         assert!(CiRankError::TooManyKeywords(40).to_string().contains("40"));
+        let bad = CiRankError::InvalidConfig {
+            field: "alpha",
+            expected: "in (0, 1)",
+        };
+        assert!(bad.to_string().contains("`alpha` must be in (0, 1)"));
         let e = CiRankError::from(ci_storage::StorageError::UnknownTable(ci_storage::TableId(
             1,
         )));

@@ -31,7 +31,8 @@ pub struct Scorer<'g> {
     graph: &'g Graph,
     p: &'g [f64],
     p_min: f64,
-    p_max: f64,
+    /// [`Scorer::max_dampening`], computed once at construction.
+    max_damp: f64,
     t: f64,
     dampening: Dampening,
     /// Precomputed per-node dampening rates, when the owner (an engine
@@ -55,7 +56,7 @@ impl<'g> Scorer<'g> {
             graph,
             p,
             p_min,
-            p_max,
+            max_damp: dampening_rate(dampening, p_max, p_min),
             t: 1.0 / p_min,
             dampening,
             damp: None,
@@ -122,7 +123,7 @@ impl<'g> Scorer<'g> {
     /// The largest dampening rate any node can have — an upper bound on the
     /// per-hop retention of a message, used by the search bounds.
     pub fn max_dampening(&self) -> f64 {
-        dampening_rate(self.dampening, self.p_max, self.p_min)
+        self.max_damp
     }
 
     /// Message generation count `r_ii = t · p_i · |v_i ∩ Q| / |v_i|`

@@ -8,7 +8,7 @@ use crate::answer::{score_answer, Answer, TopK};
 use crate::bounds::{bound_parts_from, distance_prune};
 use crate::budget::TruncationReason;
 use crate::candidate::Candidate;
-use crate::flows::{compute_flows, grow_flows};
+use crate::flows::compute_flows;
 use crate::query::QuerySpec;
 use crate::scratch::{CandSlot, SearchScratch};
 use crate::trace::{PruneReason, TraceEvent};
@@ -167,7 +167,6 @@ pub fn bnb_search_in<O: DistanceOracle>(
         if let Some(m) = query.matcher(node) {
             let mut slot = run.scratch.acquire();
             slot.cand.set_seed(m.node, m.mask);
-            compute_flows(run.scorer, run.query, &slot.cand, &mut slot.flows);
             run.register(slot);
         }
     }
@@ -207,29 +206,35 @@ pub fn bnb_search_in<O: DistanceOracle>(
             break;
         }
         run.stats.pops += 1;
-        // Copy into the pop buffer: the arena may grow (and reallocate)
-        // underneath while this candidate's expansions register.
-        let found = {
-            let SearchScratch {
-                arena, pop_slot, ..
-            } = &mut *run.scratch;
-            match arena.get(idx) {
-                Some(slot) => {
-                    pop_slot.assign_from(slot);
-                    true
-                }
-                None => false,
-            }
-        };
-        if !found {
+        // The candidate is read in place through its arena index, which
+        // stays valid while its expansions register; a reference would
+        // not survive the arena reallocating underneath.
+        let Some(pop) = run.scratch.arena.get(idx) else {
             debug_assert!(false, "queue references a missing arena slot");
             continue;
+        };
+        let root = pop.cand.root();
+        // Pop-order soundness (Theorem 1): a popped candidate that is
+        // itself a complete valid answer must be dominated by the bound it
+        // was enqueued with — otherwise the best-first stop rule
+        // (lines 9–11) could discard a better answer. Always checked in
+        // debug builds, and in release under `strict-invariants`.
+        #[cfg(any(debug_assertions, feature = "strict-invariants"))]
+        {
+            let tree = pop.cand.to_jtt();
+            if pop.cand.mask == run.query.full_mask() && is_valid_answer(&tree, run.query) {
+                if let Some(score) = score_answer(run.scorer, run.query, &tree) {
+                    assert!(
+                        ub >= score - 1e-9,
+                        "admissibility violated at pop: ub(C) = {ub} < score(C) = {score}"
+                    );
+                }
+            }
         }
-        if run.scratch.trace.level().pops() {
-            let pop = &run.scratch.pop_slot;
+        if run.scratch.trace.level().full() {
             let event = TraceEvent::Pop {
                 idx,
-                root: pop.cand.root(),
+                root,
                 size: pop.cand.size(),
                 mask: pop.cand.mask,
                 ub,
@@ -239,33 +244,13 @@ pub fn bnb_search_in<O: DistanceOracle>(
             run.scratch.trace.emit(event);
             run.trace_cache_transition();
         }
-        // Pop-order soundness (Theorem 1): a popped candidate that is
-        // itself a complete valid answer must be dominated by the bound it
-        // was enqueued with — otherwise the best-first stop rule
-        // (lines 9–11) could discard a better answer. Always checked in
-        // debug builds, and in release under `strict-invariants`.
-        #[cfg(any(debug_assertions, feature = "strict-invariants"))]
-        {
-            let cur = &run.scratch.pop_slot.cand;
-            let tree = cur.to_jtt();
-            if cur.mask == run.query.full_mask() && is_valid_answer(&tree, run.query) {
-                if let Some(score) = score_answer(run.scorer, run.query, &tree) {
-                    assert!(
-                        ub >= score - 1e-9,
-                        "admissibility violated at pop: ub(C) = {ub} < score(C) = {score}"
-                    );
-                }
-            }
-        }
-        let root = run.scratch.pop_slot.cand.root();
-        run.scratch.neighbors.clear();
-        let graph = run.scorer.graph();
-        run.scratch.neighbors.extend(graph.neighbors(root));
-        for i in 0..run.scratch.neighbors.len() {
-            let Some(&vj) = run.scratch.neighbors.get(i) else {
-                break;
-            };
-            if run.scratch.pop_slot.cand.contains(vj) {
+        for vj in run.scorer.graph().neighbors(root) {
+            let fresh = run
+                .scratch
+                .arena
+                .get(idx)
+                .is_some_and(|pop| !pop.cand.contains(vj));
+            if !fresh {
                 continue;
             }
             if run.scratch.trace.level().full() {
@@ -275,16 +260,9 @@ pub fn bnb_search_in<O: DistanceOracle>(
                 });
             }
             let mut slot = run.scratch.acquire();
-            let pop = &run.scratch.pop_slot;
-            pop.cand.grow_into(vj, run.query, &mut slot.cand);
-            grow_flows(
-                run.scorer,
-                run.query,
-                &pop.cand,
-                &pop.flows,
-                &slot.cand,
-                &mut slot.flows,
-            );
+            if let Some(pop) = run.scratch.arena.get(idx) {
+                pop.cand.grow_into(vj, run.query, &mut slot.cand);
+            }
             run.register(slot);
         }
     }
@@ -296,7 +274,7 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
     /// trace buffer.
     fn truncate(&mut self, reason: TruncationReason) {
         self.stats.truncation = Some(reason);
-        if self.scratch.trace.level().pops() {
+        if self.scratch.trace.level().full() {
             self.scratch.trace.emit(TraceEvent::Truncated { reason });
         }
     }
@@ -415,10 +393,6 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
                         });
                     }
                     if merged {
-                        // Merged shapes recompute flows from scratch: the
-                        // subtree positions interleave, so no incremental
-                        // copy applies.
-                        compute_flows(self.scorer, self.query, &out.cand, &mut out.flows);
                         self.scratch.worklist.push(out);
                     } else {
                         self.scratch.release(out);
@@ -479,12 +453,15 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
             self.scratch.release(slot);
             return None;
         }
+        // Flows feed only the bound, so they are computed here, for the
+        // candidates that survived every cheaper prune, into one buffer.
+        compute_flows(self.scorer, self.query, &slot.cand, &mut self.scratch.flows);
         let parts = bound_parts_from(
             self.scorer,
             self.query,
             self.oracle,
             &slot.cand,
-            &slot.flows,
+            &self.scratch.flows,
             self.opts.allow_redundant_matchers,
         );
         let ub = parts.ub();

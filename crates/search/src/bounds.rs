@@ -31,11 +31,10 @@ use crate::query::QuerySpec;
 /// [`crate::SearchOptions::allow_redundant_matchers`]: when off, a complete
 /// candidate cannot be usefully extended and its bound is its exact score.
 ///
-/// This is the one-shot convenience wrapper: it derives the candidate's
-/// [`FlowState`] and delegates to [`upper_bound_from`], which is what the
-/// branch-and-bound loop calls with incrementally maintained flows. Both
-/// produce bit-identical values — the flow state is bit-identical to
-/// [`Scorer::flows_from`] by construction (see `flows.rs`).
+/// This is exactly what branch-and-bound admission does per candidate —
+/// [`compute_flows`] followed by [`bound_parts_from`] — except that the
+/// search reuses one [`FlowState`] buffer where this wrapper allocates a
+/// fresh one.
 pub fn upper_bound<O: DistanceOracle + ?Sized>(
     scorer: &Scorer<'_>,
     query: &QuerySpec,
@@ -45,11 +44,9 @@ pub fn upper_bound<O: DistanceOracle + ?Sized>(
 ) -> f64 {
     let mut flows = FlowState::default();
     compute_flows(scorer, query, cand, &mut flows);
-    let ub = upper_bound_from(scorer, query, oracle, cand, &flows, allow_redundant);
-    // Admissibility (Lemma 1) is asserted inside `upper_bound_from`; the
-    // wrapper only re-checks the cheap numeric sanity half.
-    debug_assert!(!ub.is_nan(), "admissibility: ub(C) must be a number");
-    ub
+    // Admissibility (Lemma 1) is asserted inside `bound_parts_from`, and
+    // `BoundParts::ub` re-checks the cheap numeric sanity half.
+    bound_parts_from(scorer, query, oracle, cand, &flows, allow_redundant).ub()
 }
 
 /// The two components of `ub(C) = max(ce(C), pe(C))` (§IV-B), computed
@@ -85,25 +82,10 @@ impl BoundParts {
     }
 }
 
-/// Computes `ub(C)` from a precomputed [`FlowState`] — the hot-path entry
-/// point of Algorithm 1. See [`bound_parts_from`] for the decomposition.
-pub fn upper_bound_from<O: DistanceOracle + ?Sized>(
-    scorer: &Scorer<'_>,
-    query: &QuerySpec,
-    oracle: &O,
-    cand: &Candidate,
-    flows: &FlowState,
-    allow_redundant: bool,
-) -> f64 {
-    let ub = bound_parts_from(scorer, query, oracle, cand, flows, allow_redundant).ub();
-    // Admissibility (Lemma 1) is asserted inside `bound_parts_from`; the
-    // wrapper re-checks the cheap numeric sanity half.
-    debug_assert!(!ub.is_nan(), "admissibility: ub(C) must be a number");
-    ub
-}
-
-/// Computes the bound decomposition `(ce, pe)` of `ub(C)` from a
-/// precomputed [`FlowState`]. Allocation-free: it iterates the flow matrix
+/// Computes the bound decomposition `(ce, pe)` of `ub(C)` from the
+/// candidate's [`FlowState`] — the hot-path entry point of Algorithm 1,
+/// which admission calls right after [`compute_flows`]. Allocation-free:
+/// it iterates the flow matrix
 /// and the query's dense matcher table directly instead of materializing
 /// per-source vectors.
 ///

@@ -14,14 +14,12 @@
 //! Each slot caches both directions of its `(row owner, column)` pair
 //! independently (`dist_lb`/`retention_ub` are not symmetric), so a
 //! probe `(u, v)` is served from `u`'s row when `u` owns one and from
-//! the reverse half of `v`'s row otherwise. Invalidation is a
-//! generation stamp: [`OracleCache::clear`] bumps the generation, which
-//! invalidates every slot in O(1) while keeping all allocations for
-//! reuse by the next query in the session.
+//! the reverse half of `v`'s row otherwise.
 //!
 //! Correctness does not depend on any of this: the cache only memoizes a
-//! pure function of the immutable snapshot, so hits, misses, and
-//! cap-overflow pass-throughs all return bit-identical values.
+//! pure function of the immutable snapshot, so its entries never go stale,
+//! and hits, misses, and cap-overflow pass-throughs all return
+//! bit-identical values.
 
 use std::cell::RefCell;
 
@@ -53,7 +51,7 @@ pub struct CacheStats {
     /// changes results — the inner oracle's answer is returned either way.
     pub overflow: usize,
     /// Cache slots currently allocated (each caches both directions of
-    /// one node pair; allocations persist across [`OracleCache::clear`]).
+    /// one node pair).
     pub entries: usize,
 }
 
@@ -72,13 +70,12 @@ impl CacheStats {
     }
 }
 
-/// One (row owner, column) slot; caches both probe directions with
-/// independent generation stamps (stamp == current generation ⇒ valid;
-/// slots default to stamp 0, generations start at 1).
+/// One (row owner, column) slot; caches both probe directions
+/// independently, each with a flag saying whether it has been written.
 #[derive(Debug, Clone, Copy, Default)]
 struct Slot {
-    stamp_fwd: u32,
-    stamp_rev: u32,
+    has_fwd: bool,
+    has_rev: bool,
     dist_fwd: u32,
     dist_rev: u32,
     ret_fwd: f64,
@@ -87,9 +84,7 @@ struct Slot {
 
 #[derive(Debug)]
 struct CacheState {
-    /// Current generation; only slots stamped with it are valid.
-    generation: u32,
-    /// Dense node id → row index (`NO_ROW` = none). Survives `clear()`.
+    /// Dense node id → row index (`NO_ROW` = none).
     row_of: Vec<u32>,
     /// Per-row dense column vectors, indexed by the non-owner node id.
     rows: Vec<Vec<Slot>>,
@@ -97,7 +92,7 @@ struct CacheState {
     allocated: usize,
     /// Slot-allocation cap: [`DEFAULT_CACHE_ENTRIES`] (tests lower it).
     cap: usize,
-    /// Valid directional entries in the current generation.
+    /// Memoized directional entries.
     live: usize,
     hits: usize,
     misses: usize,
@@ -107,7 +102,6 @@ struct CacheState {
 impl Default for CacheState {
     fn default() -> Self {
         CacheState {
-            generation: 1,
             row_of: Vec::new(),
             rows: Vec::new(),
             allocated: 0,
@@ -159,12 +153,12 @@ impl CacheState {
     }
 
     /// Reads the memoized value at `(row, col)` in direction `fwd`, if it
-    /// is valid in the current generation.
+    /// has been written.
     fn read(&self, row: usize, col: usize, fwd: bool) -> Option<(u32, f64)> {
         let slot = self.rows.get(row)?.get(col)?;
-        if fwd && slot.stamp_fwd == self.generation {
+        if fwd && slot.has_fwd {
             Some((slot.dist_fwd, slot.ret_fwd))
-        } else if !fwd && slot.stamp_rev == self.generation {
+        } else if !fwd && slot.has_rev {
             Some((slot.dist_rev, slot.ret_rev))
         } else {
             None
@@ -175,7 +169,6 @@ impl CacheState {
     /// if the slot cap allows. Returns false (and stores nothing) on
     /// overflow.
     fn write(&mut self, row: usize, col: usize, fwd: bool, value: (u32, f64)) -> bool {
-        let generation = self.generation;
         let Some(r) = self.rows.get_mut(row) else {
             return false;
         };
@@ -191,11 +184,11 @@ impl CacheState {
             return false;
         };
         if fwd {
-            slot.stamp_fwd = generation;
+            slot.has_fwd = true;
             slot.dist_fwd = value.0;
             slot.ret_fwd = value.1;
         } else {
-            slot.stamp_rev = generation;
+            slot.has_rev = true;
             slot.dist_rev = value.0;
             slot.ret_rev = value.1;
         }
@@ -225,23 +218,6 @@ impl CacheState {
             }
         }
     }
-
-    fn clear(&mut self) {
-        self.live = 0;
-        if self.generation == u32::MAX {
-            // Generation wrap (needs 2^32 - 1 clears): hard-reset every
-            // stamp so stale entries cannot alias the restarted counter.
-            for row in &mut self.rows {
-                for slot in row.iter_mut() {
-                    slot.stamp_fwd = 0;
-                    slot.stamp_rev = 0;
-                }
-            }
-            self.generation = 1;
-        } else {
-            self.generation += 1;
-        }
-    }
 }
 
 /// Memo store for [`CachedOracle`], separable from the wrapper so a query
@@ -268,16 +244,9 @@ impl OracleCache {
         self.state.borrow().live
     }
 
-    /// True if nothing is cached in the current generation.
+    /// True if nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Invalidates all cached probes in O(1) (generation bump). Row and
-    /// slot allocations are kept for reuse, which is what makes a
-    /// session-owned cache cheap to recycle between queries.
-    pub fn clear(&self) {
-        self.state.borrow_mut().clear();
     }
 
     /// Pre-assigns cache rows to the given nodes — callers pass the
@@ -419,10 +388,6 @@ mod tests {
         let cached = CachedOracle::new(&inner, &store);
         assert_eq!(cached.dist_lb(NodeId(1), NodeId(2)), 3);
         assert_eq!(*inner.0.borrow(), 1, "second run reused the shared entry");
-        store.clear();
-        assert!(store.is_empty());
-        cached.dist_lb(NodeId(1), NodeId(2));
-        assert_eq!(*inner.0.borrow(), 2, "cleared store probes again");
     }
 
     #[test]
@@ -495,30 +460,6 @@ mod tests {
         // The slots under the cap still memoize.
         assert_eq!(cached.dist_lb(NodeId(0), NodeId(3)), 3);
         assert_eq!(*inner.0.borrow(), 3);
-    }
-
-    #[test]
-    fn clear_is_generational_and_reuses_allocations() {
-        let inner = Counting(RefCell::new(0));
-        let store = OracleCache::new();
-        let cached = CachedOracle::new(&inner, &store);
-        cached.dist_lb(NodeId(1), NodeId(6));
-        let allocated = store.stats().entries;
-        assert!(allocated > 0);
-        store.clear();
-        assert!(store.is_empty(), "generation bump invalidates everything");
-        assert_eq!(
-            store.stats().entries,
-            allocated,
-            "allocations survive clear()"
-        );
-        cached.dist_lb(NodeId(1), NodeId(6));
-        assert_eq!(*inner.0.borrow(), 2, "cleared entries re-probe");
-        assert_eq!(
-            store.stats().entries,
-            allocated,
-            "re-filling reuses the same slots"
-        );
     }
 
     #[test]

@@ -78,17 +78,6 @@ impl Candidate {
         self.diameter = 0;
     }
 
-    /// Overwrites `self` with a copy of `src`, reusing the buffers.
-    pub fn assign_from(&mut self, src: &Candidate) {
-        self.nodes.clear();
-        self.nodes.extend_from_slice(&src.nodes);
-        self.parent.clear();
-        self.parent.extend_from_slice(&src.parent);
-        self.mask = src.mask;
-        self.depth = src.depth;
-        self.diameter = src.diameter;
-    }
-
     /// *Tree grow*: a new root `new_root` (a graph neighbor of the current
     /// root, not already contained) adopts this candidate as its single
     /// child subtree.

@@ -12,8 +12,8 @@
 //! different way.
 //!
 //! In debug and `strict-invariants` builds the flow matrix is additionally
-//! cross-checked bitwise against the incremental [`crate::FlowState`]
-//! machinery ([`crate::compute_flows`]) whenever the tree admits a
+//! cross-checked bitwise against [`crate::compute_flows`], the flow
+//! computation behind the search bound, whenever the tree admits a
 //! candidate rooting (every tree produced by the branch-and-bound search
 //! does), tying the explanation to the same ground truth the hot path is
 //! checked against.

@@ -1,29 +1,20 @@
-//! Incremental RWMP flow state for the branch-and-bound bounds.
+//! RWMP flow state for the branch-and-bound bound.
 //!
 //! The upper bound of §IV-B needs, for every matcher ("source") inside a
 //! candidate, the per-node message flows [`Scorer::flows_from`] would
-//! compute over the candidate's JTT. Re-deriving those from scratch on
-//! every registration is the dominant cost of the bound, and it is
-//! unnecessary: a *tree grow* only adds a new root on top of the old one,
-//! so for every existing source the flows through the untouched part of
-//! the tree are literally the same floats.
+//! compute over the candidate's JTT. [`FlowState`] holds those flows for
+//! one candidate (a flattened `sources × nodes` matrix) and
+//! [`compute_flows`] fills it straight from the candidate's parent links,
+//! without building a JTT or allocating once its buffers are warm.
 //!
-//! [`FlowState`] stores the flows of one candidate (a flattened
-//! `sources × nodes` matrix), and [`grow_flows`] advances a parent
-//! candidate's state to its grown child by
+//! The search calls [`compute_flows`] in one place: admission, after the
+//! structural, leaf, duplicate and distance prunes and just before the
+//! bound, into a single buffer the search scratch owns. Flows feed nothing
+//! but the bound, so candidates those cheaper prunes reject never pay for
+//! them, and no candidate stores a matrix.
 //!
-//! * copying every flow that cannot have changed — all nodes whose path
-//!   from the source does not pass *through* the old root, and the old
-//!   root itself (a node's flow depends only on the weight-split
-//!   denominators of the nodes before it on its path, and growing
-//!   changes only the old root's denominator);
-//! * recomputing exactly the region the new edge touches: the flow into
-//!   the new root and into the old root's other child subtrees (their
-//!   split share shrank because the old root gained a neighbor).
-//!
-//! Bit-identity with the from-scratch computation is non-negotiable
-//! (the replay-fingerprint tests depend on it) and rests on two facts,
-//! both asserted in debug and `strict-invariants` builds:
+//! Bit-identity with [`Scorer::flows_from`] is non-negotiable (the
+//! replay-fingerprint tests depend on it) and rests on two facts:
 //!
 //! 1. per-node flows are closed-form in the parent flow
 //!    (`received = leaving · w / denom; f = received · dampening`), so
@@ -46,8 +37,8 @@ fn pos_u32(p: usize) -> u32 {
 
 /// Per-candidate flow matrix: for each source (matcher position, stored
 /// ascending) the flow value at every tree position, flattened row-major.
-/// Held in the search scratch arena next to its candidate and reused
-/// across candidates — all buffers keep their capacity.
+/// The search scratch holds one and refills it for every bound — all
+/// buffers keep their capacity.
 #[derive(Debug, Default, Clone)]
 pub struct FlowState {
     /// Matcher positions, ascending (row order of `values`).
@@ -56,7 +47,7 @@ pub struct FlowState {
     values: Vec<f64>,
     /// Number of tree positions (row width).
     n: usize,
-    /// DFS scratch (`(node, came_from)` pairs); transient, never copied.
+    /// DFS scratch (`(node, came_from)` pairs); transient.
     stack: Vec<(u32, u32)>,
 }
 
@@ -74,14 +65,6 @@ impl FlowState {
             .get(s.saturating_mul(self.n).saturating_add(pos))
             .copied()
             .unwrap_or(f64::INFINITY)
-    }
-
-    pub(crate) fn assign_from(&mut self, src: &FlowState) {
-        self.sources.clear();
-        self.sources.extend_from_slice(&src.sources);
-        self.values.clear();
-        self.values.extend_from_slice(&src.values);
-        self.n = src.n;
     }
 
     fn reset(&mut self, n: usize) {
@@ -133,13 +116,7 @@ fn denom_of(scorer: &Scorer<'_>, cand: &Candidate, m: usize) -> f64 {
 /// [`Scorer::flows_from`]: per node, `received = leaving · w / denom` and
 /// `f[k] = received · dampening(v_k)`, discarding back-flow toward
 /// `came_from`.
-fn run_stack(
-    scorer: &Scorer<'_>,
-    cand: &Candidate,
-    row: &mut [f64],
-    stack: &mut Vec<(u32, u32)>,
-    src: usize,
-) {
+fn run_stack(scorer: &Scorer<'_>, cand: &Candidate, row: &mut [f64], stack: &mut Vec<(u32, u32)>) {
     while let Some((m32, from32)) = stack.pop() {
         let (m, from) = (m32 as usize, from32 as usize);
         let Some(&vm) = cand.nodes.get(m) else {
@@ -162,7 +139,7 @@ fn run_stack(
             if cand.parent.get(k).copied() != Some(m32) {
                 continue;
             }
-            if k == from && m != src {
+            if k == from {
                 continue; // discarded back-flow
             }
             step(scorer, cand, row, stack, m, vm, k, leaving, denom);
@@ -171,7 +148,7 @@ fn run_stack(
 }
 
 // LINT-EXEMPT(hot-path): the flat argument list keeps the per-edge step
-// inlineable from three call sites; bundling into a context struct would
+// inlineable from both call sites; bundling into a context struct would
 // re-borrow per field on the innermost loop for no readability gain.
 #[allow(clippy::too_many_arguments)]
 fn step(
@@ -198,28 +175,10 @@ fn step(
     stack.push((pos_u32(k), pos_u32(m)));
 }
 
-/// Full flow propagation of one source over a candidate, into `row`
-/// (assumed zeroed). Bit-identical to `scorer.flows_from(&cand.to_jtt(),
-/// src, gen)` — see the module docs for why.
-fn propagate_from(
-    scorer: &Scorer<'_>,
-    cand: &Candidate,
-    row: &mut [f64],
-    stack: &mut Vec<(u32, u32)>,
-    src: usize,
-    gen: f64,
-) {
-    if let Some(slot) = row.get_mut(src) {
-        *slot = gen;
-    }
-    stack.clear();
-    stack.push((pos_u32(src), pos_u32(src)));
-    run_stack(scorer, cand, row, stack, src);
-}
-
-/// Computes a candidate's full [`FlowState`] from scratch (used for
-/// seeds, merges, and as the ground truth `grow_flows` is checked
-/// against).
+/// Computes a candidate's full [`FlowState`] into `out`: one row per
+/// matcher position, each a full propagation from that source. Bit-identical
+/// to `scorer.flows_from(&cand.to_jtt(), src, gen)` for every source — see
+/// the module docs for why.
 pub fn compute_flows(
     scorer: &Scorer<'_>,
     query: &QuerySpec,
@@ -235,148 +194,18 @@ pub fn compute_flows(
         let Some(m) = query.matcher(v) else {
             continue;
         };
-        let gen = m.gen;
         out.sources.push(pos_u32(pos));
-        let start = out.push_row();
-        let mut stack = std::mem::take(&mut out.stack);
-        if let Some(row) = out.values.get_mut(start..) {
-            propagate_from(scorer, cand, row, &mut stack, pos, gen);
-        }
-        out.stack = stack;
-    }
-}
-
-/// Advances `parent`'s flow state to the grown candidate `grown`
-/// (`grown = parent.grow(new_root)` — new root at position 0, every old
-/// position shifted by one). Copies all unchanged flows and recomputes
-/// only the region the new edge touches; bit-identical to
-/// [`compute_flows`] over `grown` (asserted in debug /
-/// `strict-invariants` builds).
-pub fn grow_flows(
-    scorer: &Scorer<'_>,
-    query: &QuerySpec,
-    parent: &Candidate,
-    parent_flows: &FlowState,
-    grown: &Candidate,
-    out: &mut FlowState,
-) {
-    let n = grown.size();
-    debug_assert_eq!(n, parent.size() + 1, "grown adds exactly one node");
-    out.reset(n);
-    let mut stack = std::mem::take(&mut out.stack);
-    // New source first (ascending positions): the new root, if a matcher.
-    if let Some(m) = query.matcher(grown.root()) {
-        let gen = m.gen;
-        out.sources.push(0);
-        let start = out.push_row();
-        if let Some(row) = out.values.get_mut(start..) {
-            propagate_from(scorer, grown, row, &mut stack, 0, gen);
-        }
-    }
-    // Existing sources, shifted by one.
-    for (s, &op32) in parent_flows.sources.iter().enumerate() {
-        let op = op32 as usize;
-        let np = op + 1;
-        out.sources.push(pos_u32(np));
         let start = out.push_row();
         let Some(row) = out.values.get_mut(start..) else {
             continue;
         };
-        let Some(&src_node) = grown.nodes.get(np) else {
-            continue;
-        };
-        let Some(m) = query.matcher(src_node) else {
-            debug_assert!(false, "flow source is always a matcher");
-            continue;
-        };
-        if op == 0 {
-            // The source *is* the old root: its own split denominator
-            // changed, so everything downstream must be recomputed.
-            propagate_from(scorer, grown, row, &mut stack, np, m.gen);
-        } else {
-            incremental_row(scorer, grown, parent_flows, s, row, &mut stack, np);
+        if let Some(slot) = row.get_mut(pos) {
+            *slot = m.gen;
         }
+        out.stack.clear();
+        out.stack.push((pos_u32(pos), pos_u32(pos)));
+        run_stack(scorer, cand, row, &mut out.stack);
     }
-    out.stack = stack;
-    #[cfg(any(debug_assertions, feature = "strict-invariants"))]
-    {
-        let mut fresh = FlowState::default();
-        compute_flows(scorer, query, grown, &mut fresh);
-        assert_eq!(
-            fresh.sources, out.sources,
-            "incremental grow must keep the source rows"
-        );
-        let same = fresh.values.len() == out.values.len()
-            && fresh
-                .values
-                .iter()
-                .zip(out.values.iter())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(
-            same,
-            "incremental grow diverged bitwise from the from-scratch flows"
-        );
-    }
-}
-
-/// One shifted source row: copy the unchanged flows, then recompute the
-/// flow out of the old root (now position 1) — whose denominator gained
-/// the new-root edge — into the new root and into every child subtree
-/// other than the one the flow arrived through.
-fn incremental_row(
-    scorer: &Scorer<'_>,
-    grown: &Candidate,
-    parent_flows: &FlowState,
-    s: usize,
-    row: &mut [f64],
-    stack: &mut Vec<(u32, u32)>,
-    np: usize,
-) {
-    let n = grown.size();
-    // Copy: old position i → new position i + 1. Position 0 stays 0.0.
-    for i in 0..(n - 1) {
-        if let Some(slot) = row.get_mut(i + 1) {
-            *slot = parent_flows.value(s, i);
-        }
-    }
-    // The flow *into* the old root is unchanged (it depends only on the
-    // denominators of nodes nearer the source). If nothing leaves it,
-    // nothing downstream changes either.
-    let leaving = row.get(1).copied().unwrap_or(0.0);
-    if leaving <= 0.0 {
-        return;
-    }
-    let Some(&v1) = grown.nodes.get(1) else {
-        return;
-    };
-    let denom = denom_of(scorer, grown, 1);
-    if denom <= 0.0 {
-        // The old root had a zero denominator in the old tree too (edge
-        // weights are non-negative), so the copied zeros stand.
-        return;
-    }
-    // Branch-entry child: the old root's neighbor on the path toward the
-    // source — back-flow toward it is discarded, its subtree keeps the
-    // copied values.
-    let mut entry = np;
-    while grown.parent.get(entry).copied() != Some(1) {
-        let Some(&p) = grown.parent.get(entry) else {
-            debug_assert!(false, "source path must reach the old root");
-            return;
-        };
-        entry = p as usize;
-    }
-    // Old-root out-edges in adjacency order (parent 0 first, children
-    // ascending), skipping the branch-entry child.
-    stack.clear();
-    step(scorer, grown, row, stack, 1, v1, 0, leaving, denom);
-    for k in 2..n {
-        if grown.parent.get(k).copied() != Some(1) || k == entry {
-            continue;
-        }
-        step(scorer, grown, row, stack, 1, v1, k, leaving, denom);
-    }
-    run_stack(scorer, grown, row, stack, np);
 }
 
 #[cfg(test)]
@@ -466,33 +295,12 @@ mod tests {
         assert_matches_flows_from(&s, &q, &Candidate::seed(NodeId(5), 0b100));
     }
 
-    #[test]
-    fn grow_is_bit_identical_to_from_scratch() {
-        // `grow_flows` self-checks against `compute_flows` in debug
-        // builds, so driving it through a grow chain is the test.
-        let (g, p) = graph6();
-        let s = scorer(&g, &p);
-        let q = query(vec![(0, 0b001, 2.0), (3, 0b010, 1.5), (5, 0b100, 0.75)]);
-        let mut cand = Candidate::seed(NodeId(3), 0b010);
-        let mut flows = FlowState::default();
-        compute_flows(&s, &q, &cand, &mut flows);
-        for next in [NodeId(2), NodeId(1), NodeId(0), NodeId(5)] {
-            let grown = cand.grow(next, &q);
-            let mut out = FlowState::default();
-            grow_flows(&s, &q, &cand, &flows, &grown, &mut out);
-            assert_matches_flows_from(&s, &q, &grown);
-            cand = grown;
-            flows = out;
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
         /// Random small trees over a random weighted graph: the flow state
-        /// (from scratch and grown incrementally) must match
-        /// `Scorer::flows_from` bit for bit. The debug self-check inside
-        /// `grow_flows` makes every grow a bitwise comparison on its own.
+        /// must match `Scorer::flows_from` bit for bit on every candidate
+        /// of a random grow chain.
         #[test]
         fn flow_state_matches_reference(
             weights in proptest::collection::vec(1u32..8, 8),
@@ -526,20 +334,14 @@ mod tests {
             let seed_node = matchers[0].0;
             let q = query(matchers);
             let mut cand = Candidate::seed(NodeId(seed_node), q.mask_of(NodeId(seed_node)));
-            let mut flows = FlowState::default();
-            compute_flows(&s, &q, &cand, &mut flows);
             assert_matches_flows_from(&s, &q, &cand);
             for &raw in &grow_order {
                 let next = NodeId(raw as u32);
                 if cand.contains(next) || s.graph().edge_weight(cand.root(), next).is_none() {
                     continue;
                 }
-                let grown = cand.grow(next, &q);
-                let mut out = FlowState::default();
-                grow_flows(&s, &q, &cand, &flows, &grown, &mut out);
-                assert_matches_flows_from(&s, &q, &grown);
-                cand = grown;
-                flows = out;
+                cand = cand.grow(next, &q);
+                assert_matches_flows_from(&s, &q, &cand);
             }
         }
     }

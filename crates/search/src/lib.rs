@@ -106,11 +106,11 @@ pub use validity::is_valid_answer;
 // Hot-path internals re-exported for the workspace microbenchmarks
 // (`crates/bench/benches/query_hot_path.rs`). Not a stable API.
 #[doc(hidden)]
-pub use bounds::{bound_parts_from, upper_bound, upper_bound_from};
+pub use bounds::{bound_parts_from, upper_bound};
 #[doc(hidden)]
 pub use candidate::Candidate;
 #[doc(hidden)]
-pub use flows::{compute_flows, grow_flows, FlowState};
+pub use flows::{compute_flows, FlowState};
 
 /// Tuning knobs shared by both search algorithms.
 #[derive(Debug, Clone)]

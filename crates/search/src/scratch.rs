@@ -2,13 +2,19 @@
 //!
 //! Every structure the search loop touches per candidate lives here and is
 //! recycled across runs: the candidate arena, the priority queue, the
-//! dedup set, the per-root partner chains, and a freelist ("pool") of
-//! candidate slots. [`crate::bnb_search_in`] takes a `&mut SearchScratch`;
-//! the engine's query session owns one per session, so repeated queries
-//! reach a steady state where candidate construction (grow/merge/seed)
-//! performs **no heap allocation at all** — slots come from the pool and
-//! their `Vec` buffers retain capacity. [`SearchScratch::slots_allocated`]
-//! counts slot constructions so tests can assert that steady state.
+//! dedup set, the per-root partner chains, a freelist ("pool") of
+//! candidate slots, and the one flow buffer admission computes each
+//! bound's flows into. [`crate::bnb_search_in`] takes a
+//! `&mut SearchScratch`; the engine's query session owns one per session,
+//! so repeated queries reach a steady state where candidate construction
+//! (grow/merge/seed) performs **no heap allocation at all** — slots come
+//! from the pool and their `Vec` buffers retain capacity.
+//! [`SearchScratch::slots_allocated`] counts slot constructions so tests
+//! can assert that steady state.
+//!
+//! Slots hold no flow state: flows feed only the bound, which admission
+//! computes once per surviving candidate. The popped candidate is read in
+//! place through its arena index, not copied out.
 //!
 //! The per-root partner index is an intrusive linked list over arena
 //! indices (`root_head[node] → next_same_root[idx] → …`), dense by node
@@ -32,11 +38,10 @@ use crate::trace::SearchTrace;
 /// Sentinel for "no arena index" in the root chains.
 pub(crate) const NO_IDX: u32 = u32::MAX;
 
-/// A pooled candidate plus its incrementally maintained flow state.
+/// A pooled candidate plus the bound components it was admitted with.
 #[derive(Debug)]
 pub(crate) struct CandSlot {
     pub(crate) cand: Candidate,
-    pub(crate) flows: FlowState,
     /// Complete estimate `ce(C)` stored at admission, so tracing can
     /// report the bound decomposition at pop time without re-probing the
     /// oracle (an extra probe would perturb the cache counters).
@@ -46,28 +51,13 @@ pub(crate) struct CandSlot {
     pub(crate) pe: f64,
 }
 
-impl Default for CandSlot {
-    fn default() -> CandSlot {
-        CandSlot::new()
-    }
-}
-
 impl CandSlot {
     fn new() -> CandSlot {
         CandSlot {
             cand: Candidate::empty(),
-            flows: FlowState::default(),
             ce: f64::NAN,
             pe: f64::NAN,
         }
-    }
-
-    /// Buffer-reusing copy of another slot's contents.
-    pub(crate) fn assign_from(&mut self, src: &CandSlot) {
-        self.cand.assign_from(&src.cand);
-        self.flows.assign_from(&src.flows);
-        self.ce = src.ce;
-        self.pe = src.pe;
     }
 }
 
@@ -99,11 +89,9 @@ pub struct SearchScratch {
     pub(crate) worklist: Vec<CandSlot>,
     /// Partner-index read buffer (admission order).
     pub(crate) partners: Vec<u32>,
-    /// Root-neighbor read buffer for the expansion loop.
-    pub(crate) neighbors: Vec<NodeId>,
-    /// Copy of the currently popped candidate (the arena may grow — and
-    /// reallocate — underneath while its expansions register).
-    pub(crate) pop_slot: CandSlot,
+    /// Flows of the candidate being admitted, computed just before its
+    /// bound (the only reader).
+    pub(crate) flows: FlowState,
     /// Child-count scratch for `frozen_leaves_into`.
     pub(crate) counts_buf: Vec<u32>,
     /// Frozen-leaf position scratch.
@@ -149,7 +137,6 @@ impl SearchScratch {
         self.seen.clear();
         self.next_same_root.clear();
         self.partners.clear();
-        self.neighbors.clear();
     }
 
     /// Takes a slot from the pool, constructing one only when empty.

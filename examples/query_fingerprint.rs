@@ -3,9 +3,9 @@
 //! The heavy lifting lives in `ci_rank_suite::fingerprint` (shared with
 //! `tests/query_hot_path_determinism.rs`, which pins these hashes as
 //! constants). The constants were captured *before* the hot-path
-//! optimizations (flat oracle cache, candidate arena, incremental bounds)
-//! landed, so matching output proves the optimized path is bit-identical
-//! to the original implementation.
+//! optimizations (flat oracle cache, candidate arena, flows computed once
+//! per bound at admission) landed, so matching output proves the optimized
+//! path is bit-identical to the original implementation.
 //!
 //! Usage: `cargo run --release --example query_fingerprint`
 

@@ -2,9 +2,9 @@
 //!
 //! The pinned constants below were captured with
 //! `cargo run --release --example query_fingerprint` *before* the hot-path
-//! optimizations landed (flat generational oracle cache, pooled candidate
-//! arena, incremental flow/bound maintenance). Every configuration this
-//! file replays must reproduce them exactly:
+//! optimizations landed (flat oracle cache, pooled candidate arena, flows
+//! computed once per bound at admission into one reused buffer). Every
+//! configuration this file replays must reproduce them exactly:
 //!
 //! * engines built at 1, 2, and 8 worker threads (the offline build is
 //!   bit-deterministic, so the query layer sees identical inputs);
