@@ -279,12 +279,14 @@ fn search(args: &[String]) -> Result<String, CliError> {
             );
             let _ = writeln!(
                 out,
-                "stats: {} pops, {} registered, {} bound-pruned, {} distance-pruned, {} merges",
+                "stats: {} pops, {} registered, {} bound-pruned, {} distance-pruned, \
+                 {} merges ({} skipped by signature)",
                 stats.pops,
                 stats.registered,
                 stats.bound_pruned,
                 stats.distance_pruned,
                 stats.merges,
+                stats.merges_skipped,
             );
         }
         answers

@@ -68,6 +68,8 @@ pub struct MetricsRegistry {
     distance_pruned: AtomicU64,
     /// Σ [`SearchStats::merges`].
     merges: AtomicU64,
+    /// Σ [`SearchStats::merges_skipped`].
+    merges_skipped: AtomicU64,
     /// Runs truncated by the expansion budget.
     truncated_expansions: AtomicU64,
     /// Runs truncated by the wall-clock deadline.
@@ -112,6 +114,8 @@ impl MetricsRegistry {
         self.distance_pruned
             .fetch_add(to_u64(stats.distance_pruned), r);
         self.merges.fetch_add(to_u64(stats.merges), r);
+        self.merges_skipped
+            .fetch_add(to_u64(stats.merges_skipped), r);
         match stats.truncation {
             None => {}
             Some(TruncationReason::Expansions) => {
@@ -171,6 +175,7 @@ impl MetricsRegistry {
             bound_pruned: self.bound_pruned.load(r),
             distance_pruned: self.distance_pruned.load(r),
             merges: self.merges.load(r),
+            merges_skipped: self.merges_skipped.load(r),
             truncated_expansions: self.truncated_expansions.load(r),
             truncated_deadline: self.truncated_deadline.load(r),
             truncated_candidates: self.truncated_candidates.load(r),
@@ -203,8 +208,11 @@ pub struct MetricsSnapshot {
     pub bound_pruned: u64,
     /// Total candidates rejected by the distance-feasibility test.
     pub distance_pruned: u64,
-    /// Total merge attempts.
+    /// Total same-root pairs considered for a merge.
     pub merges: u64,
+    /// Of those, pairs the matcher signature ruled out before the exact
+    /// overlap check.
+    pub merges_skipped: u64,
     /// Runs truncated by the expansion budget.
     pub truncated_expansions: u64,
     /// Runs truncated by the wall-clock deadline.
@@ -270,6 +278,7 @@ impl MetricsSnapshot {
             bound_pruned: self.bound_pruned.saturating_sub(earlier.bound_pruned),
             distance_pruned: self.distance_pruned.saturating_sub(earlier.distance_pruned),
             merges: self.merges.saturating_sub(earlier.merges),
+            merges_skipped: self.merges_skipped.saturating_sub(earlier.merges_skipped),
             truncated_expansions: self
                 .truncated_expansions
                 .saturating_sub(earlier.truncated_expansions),
@@ -318,6 +327,7 @@ impl MetricsSnapshot {
         field(&mut s, "bound_pruned", self.bound_pruned);
         field(&mut s, "distance_pruned", self.distance_pruned);
         field(&mut s, "merges", self.merges);
+        field(&mut s, "merges_skipped", self.merges_skipped);
         field(&mut s, "truncated_expansions", self.truncated_expansions);
         field(&mut s, "truncated_deadline", self.truncated_deadline);
         field(&mut s, "truncated_candidates", self.truncated_candidates);
@@ -356,6 +366,7 @@ mod tests {
             bound_pruned: 1,
             distance_pruned: 2,
             merges: 3,
+            merges_skipped: 2,
             candidates_peak: pops,
             truncation,
             cache: Some(CacheStats {
@@ -384,6 +395,7 @@ mod tests {
         assert_eq!(s.pops, 14);
         assert_eq!(s.registered, 28);
         assert_eq!(s.merges, 6);
+        assert_eq!(s.merges_skipped, 4);
         assert_eq!(s.truncated_deadline, 1);
         assert_eq!(s.truncated_total(), 1);
         assert_eq!(s.cache_hits, 10);
@@ -445,6 +457,7 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
         assert!(json.contains("\"queries\":1"), "{json}");
         assert!(json.contains("\"pops\":2"), "{json}");
+        assert!(json.contains("\"merges_skipped\":2"), "{json}");
         assert!(json.contains("\"latency_histogram_us\":["), "{json}");
         assert!(json.contains("{\"le\":50,\"count\":0}"), "{json}");
         assert!(json.contains("{\"le\":null,\"count\":0}"), "{json}");

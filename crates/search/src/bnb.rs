@@ -12,7 +12,7 @@ use crate::flows::compute_flows;
 use crate::query::QuerySpec;
 use crate::scratch::{CandSlot, SearchScratch};
 use crate::trace::{PruneReason, TraceEvent};
-use crate::validity::{is_valid_answer, leaves_matchable};
+use crate::validity::{is_valid_answer, leaf_masks_matchable};
 use crate::SearchOptions;
 
 /// Counters describing one search run (either algorithm).
@@ -26,8 +26,15 @@ pub struct SearchStats {
     pub bound_pruned: usize,
     /// Candidates rejected by the distance-feasibility test.
     pub distance_pruned: usize,
-    /// Merge attempts performed.
+    /// Same-root candidate pairs considered for a *tree merge*, including
+    /// those [`SearchStats::merges_skipped`] counts.
     pub merges: usize,
+    /// Pairs counted in [`SearchStats::merges`] that the candidates'
+    /// matcher signatures ruled out before the exact overlap check (they
+    /// share a non-root matcher node, so the merge could not succeed).
+    /// Observational, like [`SearchStats::cache`]: not part of the replay
+    /// fingerprints.
+    pub merges_skipped: usize,
     /// Peak number of live candidates held in the arena — what
     /// [`crate::QueryBudget::max_candidates`] bounds.
     pub candidates_peak: usize,
@@ -220,9 +227,9 @@ pub fn bnb_search_in<O: DistanceOracle>(
         // (lines 9–11) could discard a better answer. Always checked in
         // debug builds, and in release under `strict-invariants`.
         #[cfg(any(debug_assertions, feature = "strict-invariants"))]
-        {
+        if pop.cand.mask == run.query.full_mask() {
             let tree = pop.cand.to_jtt();
-            if pop.cand.mask == run.query.full_mask() && is_valid_answer(&tree, run.query) {
+            if is_valid_answer(&tree, run.query) {
                 if let Some(score) = score_answer(run.scorer, run.query, &tree) {
                     assert!(
                         ub >= score - 1e-9,
@@ -361,21 +368,22 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
             if let Some(idx) = self.admit(c) {
                 // Merge with every known candidate sharing the root, in
                 // admission order (the chain read reverses to oldest-first,
-                // matching the per-root Vec this index used to be).
-                let root = match self.scratch.arena.get(idx) {
-                    Some(s) => s.cand.root(),
+                // matching the per-root Vec this index used to be). The
+                // walk drops partners whose signature intersects this
+                // candidate's: they share a non-root node, so `merge_into`
+                // would reject them, and dropping them registers nothing.
+                let (root, sig) = match self.scratch.arena.get(idx) {
+                    Some(s) => (s.cand.root(), s.cand.sig),
                     None => continue,
                 };
-                self.scratch.collect_partners(root);
+                let considered = self.scratch.collect_partners(root, idx, sig);
+                self.stats.merges += considered;
+                self.stats.merges_skipped += considered - self.scratch.partners.len();
                 for t in 0..self.scratch.partners.len() {
                     let Some(&p32) = self.scratch.partners.get(t) else {
                         break;
                     };
                     let p = p32 as usize;
-                    if p == idx {
-                        continue;
-                    }
-                    self.stats.merges += 1;
                     let mut out = self.scratch.acquire();
                     let merged = match (self.scratch.arena.get(idx), self.scratch.arena.get(p)) {
                         (Some(a), Some(b)) => {
@@ -422,31 +430,22 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
         }
         // Non-root leaves stay leaves: their keyword assignment must be
         // feasible in any extension.
-        let tree = slot.cand.to_jtt();
-        {
-            let SearchScratch {
-                counts_buf,
-                leaves_buf,
-                ..
-            } = &mut *self.scratch;
-            slot.cand.frozen_leaves_into(counts_buf, leaves_buf);
-        }
-        if !leaves_matchable(&tree, self.query, &self.scratch.leaves_buf) {
+        if !self.leaves_matchable(&slot.cand, false) {
             self.trace_prune(PruneReason::InfeasibleLeaves, &slot.cand);
             self.scratch.release(slot);
             return None;
         }
-        // Dedup on (root, canonical key) — the same identity
-        // `Candidate::dedup_key` computes, reusing this admission's tree.
-        if !self
-            .scratch
-            .seen
-            .insert((slot.cand.root(), tree.canonical_key()))
-        {
+        // Dedup on (root, canonical tree), encoded flat into the reused key
+        // buffer; only a new identity is copied into the set.
+        slot.cand.dedup_key_into(&mut self.scratch.key_buf);
+        if self.scratch.seen.contains(self.scratch.key_buf.as_slice()) {
             self.trace_prune(PruneReason::Duplicate, &slot.cand);
             self.scratch.release(slot);
             return None;
         }
+        self.scratch
+            .seen
+            .insert(self.scratch.key_buf.as_slice().into());
         if distance_prune(self.query, self.oracle, &slot.cand, self.opts.diameter) {
             self.stats.distance_pruned += 1;
             self.trace_prune(PruneReason::Distance, &slot.cand);
@@ -477,18 +476,31 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
         // re-probe the oracle and perturb the cache counters.
         slot.ce = parts.ce;
         slot.pe = parts.pe;
-        if slot.cand.mask == self.query.full_mask() && is_valid_answer(&tree, self.query) {
-            if let Some(score) = score_answer(self.scorer, self.query, &tree) {
-                self.topk.offer(Answer { tree, score });
+        // Definition 3 on the candidate itself: with every keyword covered,
+        // a valid answer needs only its degree-≤ 1 nodes matched. The `Jtt`
+        // is built for the answers offered to the top-k alone.
+        if slot.cand.mask == self.query.full_mask() {
+            let valid = self.leaves_matchable(&slot.cand, true);
+            debug_assert_eq!(
+                valid,
+                is_valid_answer(&slot.cand.to_jtt(), self.query),
+                "candidate answer check disagrees with is_valid_answer"
+            );
+            if valid {
+                let tree = slot.cand.to_jtt();
+                if let Some(score) = score_answer(self.scorer, self.query, &tree) {
+                    self.topk.offer(Answer { tree, score });
+                }
             }
         }
         let idx = self.scratch.arena.len();
         let root = slot.cand.root();
         let size = slot.cand.size();
         let mask = slot.cand.mask;
+        let sig = slot.cand.sig;
         self.scratch.arena.push(slot);
         self.stats.candidates_peak = self.stats.candidates_peak.max(self.scratch.arena.len());
-        self.scratch.push_root_chain(root, idx);
+        self.scratch.push_root_chain(root, idx, sig);
         self.scratch.queue.push(HeapItem { ub, idx });
         self.stats.registered += 1;
         if self.scratch.trace.level().full() {
@@ -501,6 +513,18 @@ impl<'a, O: DistanceOracle> SearchRun<'a, O> {
             });
         }
         Some(idx)
+    }
+
+    /// Whether `cand`'s leaves — with `with_root`, its mandatory nodes
+    /// (see [`Candidate::leaf_masks_into`]) — take distinct keywords.
+    fn leaves_matchable(&mut self, cand: &Candidate, with_root: bool) -> bool {
+        let SearchScratch {
+            counts_buf,
+            leaf_masks,
+            ..
+        } = &mut *self.scratch;
+        cand.leaf_masks_into(self.query, with_root, counts_buf, leaf_masks);
+        leaf_masks_matchable(leaf_masks)
     }
 
     fn merge_allowed(&self, a: &Candidate, b: &Candidate) -> bool {

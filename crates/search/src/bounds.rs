@@ -473,12 +473,14 @@ mod admissibility_props {
         let nodes: Vec<NodeId> = order.iter().map(|&p| tree.node(p)).collect();
         let mask = nodes.iter().fold(0, |m, &v| m | query.mask_of(v));
         let depth = tree.distances_from(root_pos).into_iter().max().unwrap_or(0);
+        let sig = nodes.iter().skip(1).fold(0, |s, &v| s | query.sig_bit(v));
         Candidate {
             nodes,
             parent,
             mask,
             depth,
             diameter: tree.diameter(),
+            sig,
         }
     }
 

@@ -21,6 +21,10 @@ pub struct Candidate {
     pub depth: u32,
     /// Tree diameter.
     pub diameter: u32,
+    /// Matcher signature: the OR of [`QuerySpec::sig_bit`] over the
+    /// *non-root* nodes. Two same-rooted candidates whose signatures
+    /// intersect share a non-root node, so their merge is certain to fail.
+    pub sig: u64,
 }
 
 impl Candidate {
@@ -33,6 +37,7 @@ impl Candidate {
             mask,
             depth: 0,
             diameter: 0,
+            sig: 0,
         }
     }
 
@@ -63,6 +68,7 @@ impl Candidate {
             mask: 0,
             depth: 0,
             diameter: 0,
+            sig: 0,
         }
     }
 
@@ -76,6 +82,7 @@ impl Candidate {
         self.mask = mask;
         self.depth = 0;
         self.diameter = 0;
+        self.sig = 0;
     }
 
     /// *Tree grow*: a new root `new_root` (a graph neighbor of the current
@@ -105,6 +112,7 @@ impl Candidate {
         out.mask = self.mask | query.mask_of(new_root);
         out.depth = self.depth + 1;
         out.diameter = self.diameter.max(self.depth + 1);
+        out.sig = self.sig | query.sig_bit(self.root());
     }
 
     /// *Tree merge*: combines two candidates sharing the same root. Returns
@@ -142,20 +150,22 @@ impl Candidate {
             .diameter
             .max(other.diameter)
             .max(self.depth + other.depth);
+        out.sig = self.sig | other.sig;
         true
     }
 
-    /// Non-root leaf positions (these stay leaves in every extension).
-    pub fn frozen_leaves(&self) -> Vec<usize> {
-        let mut counts = Vec::new();
-        let mut out = Vec::new();
-        self.frozen_leaves_into(&mut counts, &mut out);
-        out
-    }
-
-    /// [`Candidate::frozen_leaves`] into reused buffers (`counts` is the
-    /// child-count scratch, `out` receives the leaf positions).
-    pub fn frozen_leaves_into(&self, counts: &mut Vec<u32>, out: &mut Vec<usize>) {
+    /// Keyword masks of the candidate's degree-≤ 1 nodes, into reused
+    /// buffers (`counts` is child-count scratch): the non-root leaves,
+    /// which stay leaves in every extension, and, when `with_root`, the
+    /// root if it has at most one child. With `with_root` these are the
+    /// mandatory nodes of Definition 3 (see [`crate::is_valid_answer`]).
+    pub fn leaf_masks_into(
+        &self,
+        query: &QuerySpec,
+        with_root: bool,
+        counts: &mut Vec<u32>,
+        out: &mut Vec<u32>,
+    ) {
         counts.clear();
         counts.resize(self.nodes.len(), 0);
         for &p in self.parent.iter().skip(1) {
@@ -164,13 +174,16 @@ impl Candidate {
             }
         }
         out.clear();
+        if with_root && counts.first().is_some_and(|&c| c <= 1) {
+            out.push(query.mask_of(self.root()));
+        }
         out.extend(
-            counts
+            self.nodes
                 .iter()
-                .enumerate()
+                .zip(counts.iter())
                 .skip(1)
-                .filter(|(_, &c)| c == 0)
-                .map(|(i, _)| i),
+                .filter(|&(_, &c)| c == 0)
+                .map(|(&v, _)| query.mask_of(v)),
         );
     }
 
@@ -190,10 +203,22 @@ impl Candidate {
         Jtt::new(self.nodes.clone(), edges).expect("candidates are trees by construction")
     }
 
-    /// Canonical identity including the root (candidates with the same tree
-    /// but different roots expand differently and are both kept).
-    pub fn dedup_key(&self) -> (NodeId, ci_rwmp::CanonicalKey) {
-        (self.root(), self.to_jtt().canonical_key())
+    /// Writes the candidate's dedup identity into `out`: the root, then
+    /// one `child << 32 | parent` entry per non-root node, sorted. For a
+    /// fixed root the parent map and the undirected edge set determine
+    /// each other, so equal encodings ⇔ equal root and equal
+    /// [`Jtt::canonical_key`]. Candidates with the same tree but different
+    /// roots expand differently and are both kept.
+    pub fn dedup_key_into(&self, out: &mut Vec<u64>) {
+        out.clear();
+        out.push(u64::from(self.root().0));
+        for (&child, &p) in self.nodes.iter().zip(&self.parent).skip(1) {
+            let parent = self.nodes.get(p as usize).map_or(u32::MAX, |v| v.0);
+            out.push((u64::from(child.0) << 32) | u64::from(parent));
+        }
+        if let Some(links) = out.get_mut(1..) {
+            links.sort_unstable();
+        }
     }
 }
 
@@ -276,13 +301,33 @@ mod tests {
     }
 
     #[test]
-    fn frozen_leaves_exclude_root() {
-        let q = query(2, vec![(0, 0b01), (2, 0b10)]);
+    fn leaf_masks_cover_frozen_leaves_and_a_low_degree_root() {
+        let q = query(2, vec![(0, 0b01), (2, 0b10), (9, 0b11)]);
         let c = Candidate::seed(NodeId(0), 0b01).grow(NodeId(9), &q);
+        let (mut counts, mut masks) = (Vec::new(), Vec::new());
         // Root 9 is extendable; node 0 is a frozen leaf.
-        assert_eq!(c.frozen_leaves(), vec![1]);
+        c.leaf_masks_into(&q, false, &mut counts, &mut masks);
+        assert_eq!(masks, vec![0b01]);
+        // As an answer, the single-child root is mandatory too.
+        c.leaf_masks_into(&q, true, &mut counts, &mut masks);
+        assert_eq!(masks, vec![0b11, 0b01]);
         let seed = Candidate::seed(NodeId(2), 0b10);
-        assert!(seed.frozen_leaves().is_empty());
+        seed.leaf_masks_into(&q, false, &mut counts, &mut masks);
+        assert!(masks.is_empty());
+        seed.leaf_masks_into(&q, true, &mut counts, &mut masks);
+        assert_eq!(masks, vec![0b10]);
+        // A root with two children is never mandatory.
+        let star = c
+            .merge(&Candidate::seed(NodeId(2), 0b10).grow(NodeId(9), &q))
+            .unwrap();
+        star.leaf_masks_into(&q, true, &mut counts, &mut masks);
+        assert_eq!(masks, vec![0b01, 0b10]);
+    }
+
+    fn key(c: &Candidate) -> Vec<u64> {
+        let mut out = Vec::new();
+        c.dedup_key_into(&mut out);
+        out
     }
 
     #[test]
@@ -291,7 +336,108 @@ mod tests {
         // Same undirected tree {0—1}, rooted at 0 vs at 1.
         let a = Candidate::seed(NodeId(0), 0b01).grow(NodeId(1), &q);
         let b = Candidate::seed(NodeId(1), 0b10).grow(NodeId(0), &q);
-        assert_ne!(a.dedup_key(), b.dedup_key());
+        assert_ne!(key(&a), key(&b));
         assert_eq!(a.to_jtt().canonical_key(), b.to_jtt().canonical_key());
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Shared root of the grow chains' final step; no chain visits it.
+        const TOP: NodeId = NodeId(8);
+
+        /// Matchers 0..5 (masks from `masks`), free nodes 5..8 and `TOP`.
+        fn pool_query(masks: &[u32]) -> QuerySpec {
+            query(2, (0..5u32).zip(masks.iter().copied()).collect())
+        }
+
+        /// Every candidate reachable from random grow chains over nodes
+        /// 0..8 (each seeded at a matcher): each chain prefix, each chain
+        /// grown into `TOP`, and every disjoint merge of those in both
+        /// orders, pairwise and of all three.
+        fn pool(q: &QuerySpec, chains: &[(u8, Vec<u8>)]) -> Vec<Candidate> {
+            let mut out = Vec::new();
+            let mut tops = Vec::new();
+            for (seed, grows) in chains {
+                let node = NodeId(u32::from(seed % 5));
+                let mut c = Candidate::seed(node, q.mask_of(node));
+                out.push(c.clone());
+                for &g in grows {
+                    let next = NodeId(u32::from(g % 8));
+                    if !c.contains(next) {
+                        c = c.grow(next, q);
+                        out.push(c.clone());
+                    }
+                }
+                let top = c.grow(TOP, q);
+                out.push(top.clone());
+                tops.push(top);
+            }
+            for (i, a) in tops.iter().enumerate() {
+                for (j, b) in tops.iter().enumerate() {
+                    if i == j {
+                        continue;
+                    }
+                    if let Some(ab) = a.merge(b) {
+                        for c in tops.iter().skip(j.max(i) + 1) {
+                            out.extend(ab.merge(c));
+                        }
+                        out.push(ab);
+                    }
+                }
+            }
+            out
+        }
+
+        fn sig_of_nodes(q: &QuerySpec, c: &Candidate) -> u64 {
+            c.nodes.iter().skip(1).fold(0, |s, &v| s | q.sig_bit(v))
+        }
+
+        fn chains() -> impl Strategy<Value = Vec<(u8, Vec<u8>)>> {
+            proptest::collection::vec((0u8..5, proptest::collection::vec(0u8..8, 0..4)), 3)
+        }
+
+        proptest! {
+            /// The flat dedup key and the `Jtt` canonical identity agree.
+            #[test]
+            fn flat_key_matches_canonical_identity(
+                masks in proptest::collection::vec(1u32..4, 5),
+                chains in chains(),
+            ) {
+                let q = pool_query(&masks);
+                let cands = pool(&q, &chains);
+                let keys: Vec<Vec<u64>> = cands.iter().map(key).collect();
+                let ids: Vec<_> = cands
+                    .iter()
+                    .map(|c| (c.root(), c.to_jtt().canonical_key()))
+                    .collect();
+                for i in 0..cands.len() {
+                    for j in 0..cands.len() {
+                        prop_assert_eq!(keys[i] == keys[j], ids[i] == ids[j]);
+                    }
+                }
+            }
+
+            /// Signatures are the non-root matcher bits, and intersecting
+            /// signatures imply a failing merge.
+            #[test]
+            fn signature_is_sound(
+                masks in proptest::collection::vec(1u32..4, 5),
+                chains in chains(),
+            ) {
+                let q = pool_query(&masks);
+                let cands = pool(&q, &chains);
+                let mut out = Candidate::empty();
+                for a in &cands {
+                    prop_assert_eq!(a.sig, sig_of_nodes(&q, a));
+                    for b in cands.iter().filter(|b| b.root() == a.root()) {
+                        if a.sig & b.sig != 0 {
+                            prop_assert!(!a.merge_into(b, &mut out));
+                        }
+                    }
+                }
+            }
+        }
     }
 }

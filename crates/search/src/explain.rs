@@ -271,6 +271,7 @@ fn cross_check_flows(
             .fold(0, |a, m| a | m),
         depth: tree.distances_from(0).into_iter().max().unwrap_or(0),
         diameter: tree.diameter(),
+        sig: (1..n).fold(0, |s, pos| s | query.sig_bit(tree.node(pos))),
     };
     let mut state = FlowState::default();
     compute_flows(scorer, query, &cand, &mut state);

@@ -28,6 +28,10 @@ pub struct MatcherInfo {
 /// mask in the search layer, not just this constant.
 pub const MAX_KEYWORDS: usize = 32;
 
+/// Width of a candidate's matcher signature (a `u64`): only the first
+/// this many matchers of [`QuerySpec::matchers_sorted`] get a bit.
+const SIG_BITS: usize = 64;
+
 /// A resolved keyword query: the keyword list, every matcher with its
 /// statistics, and per-keyword aggregates used by the search bounds.
 ///
@@ -37,7 +41,8 @@ pub const MAX_KEYWORDS: usize = 32;
 #[derive(Debug, Clone)]
 pub struct QuerySpec {
     keywords: Vec<String>,
-    matchers: HashMap<NodeId, MatcherInfo>,
+    /// Each matcher with its signature bit (see [`QuerySpec::sig_bit`]).
+    matchers: HashMap<NodeId, (MatcherInfo, u64)>,
     /// Matchers of each keyword, sorted by descending generation count.
     per_keyword: Vec<Vec<NodeId>>,
     /// `R_k`: the largest generation count among keyword `k`'s matchers.
@@ -80,10 +85,11 @@ impl QuerySpec {
                     }
                 }
             }
-            map.insert(m.node, m);
+            map.insert(m.node, (m, 0));
         }
-        let gen_of =
-            |map: &HashMap<NodeId, MatcherInfo>, v: &NodeId| map.get(v).map_or(0.0, |m| m.gen);
+        let gen_of = |map: &HashMap<NodeId, (MatcherInfo, u64)>, v: &NodeId| {
+            map.get(v).map_or(0.0, |(m, _)| m.gen)
+        };
         for list in per_keyword.iter_mut() {
             list.sort_unstable_by(|a, b| {
                 gen_of(&map, b)
@@ -97,6 +103,11 @@ impl QuerySpec {
                 .total_cmp(&gen_of(&map, a))
                 .then(a.0.cmp(&b.0))
         });
+        for (i, node) in all_sorted.iter().take(SIG_BITS).enumerate() {
+            if let Some((_, bit)) = map.get_mut(node) {
+                *bit = 1u64 << i;
+            }
+        }
         QuerySpec {
             keywords,
             matchers: map,
@@ -154,17 +165,26 @@ impl QuerySpec {
 
     /// Matcher info for a node, if it is a matcher.
     pub fn matcher(&self, node: NodeId) -> Option<&MatcherInfo> {
-        self.matchers.get(&node)
+        self.matchers.get(&node).map(|(m, _)| m)
     }
 
     /// Keyword mask of a node (0 for free nodes).
     pub fn mask_of(&self, node: NodeId) -> u32 {
-        self.matchers.get(&node).map(|m| m.mask).unwrap_or(0)
+        self.matchers.get(&node).map_or(0, |(m, _)| m.mask)
+    }
+
+    /// Signature bit of a node: bit `i` for the `i`-th node of
+    /// [`QuerySpec::matchers_sorted`] when `i < 64`, and 0 for free nodes
+    /// and for matchers past the first 64. Two candidates whose
+    /// signatures (ORs of these bits) intersect certainly share a node; a
+    /// missing bit only hides a shared node, never invents one.
+    pub fn sig_bit(&self, node: NodeId) -> u64 {
+        self.matchers.get(&node).map_or(0, |&(_, bit)| bit)
     }
 
     /// All matchers.
     pub fn matchers(&self) -> impl Iterator<Item = &MatcherInfo> {
-        self.matchers.values()
+        self.matchers.values().map(|(m, _)| m)
     }
 
     /// Number of matcher nodes.
@@ -223,6 +243,24 @@ mod tests {
         assert!(q.answerable());
         assert_eq!(q.mask_of(NodeId(2)), 0b11);
         assert_eq!(q.mask_of(NodeId(9)), 0);
+        // Signature bits follow `matchers_sorted` (descending generation).
+        assert_eq!(q.matchers_sorted(), &[NodeId(1), NodeId(2), NodeId(0)]);
+        assert_eq!(q.sig_bit(NodeId(1)), 0b001);
+        assert_eq!(q.sig_bit(NodeId(2)), 0b010);
+        assert_eq!(q.sig_bit(NodeId(0)), 0b100);
+        assert_eq!(q.sig_bit(NodeId(9)), 0);
+    }
+
+    #[test]
+    fn matchers_past_the_signature_width_get_no_bit() {
+        let matchers: Vec<MatcherInfo> = (0..70u32)
+            .map(|i| mi(i, 0b1, 100.0 - f64::from(i)))
+            .collect();
+        let q = QuerySpec::new(vec!["a".into()], matchers);
+        assert_eq!(q.sig_bit(NodeId(0)), 1);
+        assert_eq!(q.sig_bit(NodeId(63)), 1u64 << 63);
+        assert_eq!(q.sig_bit(NodeId(64)), 0);
+        assert_eq!(q.sig_bit(NodeId(69)), 0);
     }
 
     #[test]

@@ -17,14 +17,24 @@
 //! place through its arena index, not copied out.
 //!
 //! The per-root partner index is an intrusive linked list over arena
-//! indices (`root_head[node] → next_same_root[idx] → …`), dense by node
-//! id with a run-generation stamp instead of per-run clearing — the same
+//! indices (`root_head[node] → links[idx].next → …`), dense by node id
+//! with a run-generation stamp instead of per-run clearing — the same
 //! design as the flat oracle cache, and for the same reason: no hashing
 //! and no `HashMap` churn in the inner loop. Chains are built newest-first
 //! and reversed into a buffer on read, preserving the admission-order
 //! iteration the previous `HashMap<NodeId, Vec<usize>>` provided (the
 //! merge order is observable through `SearchStats::merges` and the
 //! replay fingerprints, so it must not change).
+//!
+//! Each link also carries its candidate's matcher signature
+//! ([`Candidate::sig`]), so the chain walk drops partners that certainly
+//! share a non-root node with the new candidate without touching their
+//! arena slots; only the survivors reach the exact overlap check in
+//! `Candidate::merge_into`.
+//!
+//! Admission's dedup identity is encoded flat ([`Candidate::dedup_key_into`])
+//! into one reused key buffer and looked up by slice; the `seen` set
+//! copies a key only when it is new.
 
 use std::collections::{BinaryHeap, HashSet};
 
@@ -61,6 +71,15 @@ impl CandSlot {
     }
 }
 
+/// One arena index's entry in its root's partner chain.
+#[derive(Debug, Clone, Copy)]
+struct ChainLink {
+    /// Next-older arena index with the same root, or [`NO_IDX`].
+    next: u32,
+    /// The candidate's [`Candidate::sig`].
+    sig: u64,
+}
+
 /// Reusable working memory for [`crate::bnb_search_in`]. One per query
 /// session (sessions are single-threaded); `Default`/`new` give an empty
 /// scratch that warms up over the first queries.
@@ -75,16 +94,18 @@ pub struct SearchScratch {
     pub(crate) arena: Vec<CandSlot>,
     /// Max-heap over `(ub, arena idx)`.
     pub(crate) queue: BinaryHeap<HeapItem>,
-    /// Dedup set over `(root, canonical tree key)`.
-    pub(crate) seen: HashSet<(NodeId, ci_rwmp::CanonicalKey)>,
+    /// Dedup set over flat `(root, sorted child → parent links)` keys.
+    pub(crate) seen: HashSet<Box<[u64]>>,
+    /// Key buffer the candidate being admitted encodes its identity into.
+    pub(crate) key_buf: Vec<u64>,
     /// Newest arena index rooted at a node, dense by node id.
     root_head: Vec<u32>,
     /// Run stamp per `root_head` entry (stale stamp ⇒ empty chain).
     root_gen: Vec<u64>,
     /// Current run stamp (bumped by [`SearchScratch::begin`]).
     run_gen: u64,
-    /// Per-arena-index link to the next-older candidate with the same root.
-    next_same_root: Vec<u32>,
+    /// Per-arena-index partner-index entry.
+    links: Vec<ChainLink>,
     /// Registration cascade worklist.
     pub(crate) worklist: Vec<CandSlot>,
     /// Partner-index read buffer (admission order).
@@ -92,10 +113,10 @@ pub struct SearchScratch {
     /// Flows of the candidate being admitted, computed just before its
     /// bound (the only reader).
     pub(crate) flows: FlowState,
-    /// Child-count scratch for `frozen_leaves_into`.
+    /// Child-count scratch for `leaf_masks_into`.
     pub(crate) counts_buf: Vec<u32>,
-    /// Frozen-leaf position scratch.
-    pub(crate) leaves_buf: Vec<usize>,
+    /// Keyword masks of the admitted candidate's leaves.
+    pub(crate) leaf_masks: Vec<u32>,
     /// Bounded per-run trace event buffer, re-armed by the search prologue
     /// from [`crate::SearchOptions::trace`]. Stays unallocated for scratches
     /// that only ever run at [`crate::TraceLevel::Off`].
@@ -135,7 +156,7 @@ impl SearchScratch {
         self.pool.append(&mut self.worklist);
         self.queue.clear();
         self.seen.clear();
-        self.next_same_root.clear();
+        self.links.clear();
         self.partners.clear();
     }
 
@@ -162,14 +183,14 @@ impl SearchScratch {
     }
 
     /// Links freshly admitted arena index `idx` (the current `arena.len() -
-    /// 1`) into its root's chain. Must be called exactly once per arena
-    /// push, in order.
-    pub(crate) fn push_root_chain(&mut self, node: NodeId, idx: usize) {
-        debug_assert_eq!(self.next_same_root.len(), idx, "one link per arena push");
+    /// 1`), whose signature is `sig`, into its root's chain. Must be
+    /// called exactly once per arena push, in order.
+    pub(crate) fn push_root_chain(&mut self, node: NodeId, idx: usize, sig: u64) {
+        debug_assert_eq!(self.links.len(), idx, "one link per arena push");
         let idx32 = u32::try_from(idx).unwrap_or(NO_IDX);
         debug_assert!(idx32 != NO_IDX, "arena index fits in u32");
         let Ok(id) = usize::try_from(node.0) else {
-            self.next_same_root.push(NO_IDX);
+            self.links.push(ChainLink { next: NO_IDX, sig });
             return;
         };
         if self.root_head.len() <= id {
@@ -181,7 +202,7 @@ impl SearchScratch {
         } else {
             NO_IDX
         };
-        self.next_same_root.push(prev);
+        self.links.push(ChainLink { next: prev, sig });
         if let Some(h) = self.root_head.get_mut(id) {
             *h = idx32;
         }
@@ -190,21 +211,29 @@ impl SearchScratch {
         }
     }
 
-    /// Fills [`SearchScratch::partners`] with every arena index rooted at
-    /// `node`, oldest (lowest index) first — admission order, matching the
-    /// `Vec` the per-root `HashMap` used to hold.
-    pub(crate) fn collect_partners(&mut self, node: NodeId) {
+    /// Fills [`SearchScratch::partners`] with the merge partners of arena
+    /// index `idx`, rooted at `node` with signature `sig`: every other
+    /// arena index rooted at `node` whose signature is disjoint from
+    /// `sig`, oldest (lowest index) first — admission order, matching the
+    /// `Vec` the per-root `HashMap` used to hold. Returns the number of
+    /// same-root pairs considered, i.e. including the ones the signature
+    /// ruled out.
+    pub(crate) fn collect_partners(&mut self, node: NodeId, idx: usize, sig: u64) -> usize {
         self.partners.clear();
+        let mut considered = 0;
         let mut cur = self.root_chain_head(node);
         while let Some(i) = cur {
-            self.partners.push(i);
-            cur = self
-                .next_same_root
-                .get(i as usize)
-                .copied()
-                .filter(|&nxt| nxt != NO_IDX);
+            let link = self.links.get(i as usize).copied();
+            if i as usize != idx {
+                considered += 1;
+                if link.map_or(0, |l| l.sig) & sig == 0 {
+                    self.partners.push(i);
+                }
+            }
+            cur = link.map(|l| l.next).filter(|&nxt| nxt != NO_IDX);
         }
         self.partners.reverse();
+        considered
     }
 }
 
@@ -233,22 +262,36 @@ mod tests {
     fn root_chains_iterate_in_admission_order_and_reset_per_run() {
         let mut s = SearchScratch::new();
         s.begin();
-        s.push_root_chain(NodeId(7), 0);
-        s.push_root_chain(NodeId(3), 1);
-        s.push_root_chain(NodeId(7), 2);
-        s.push_root_chain(NodeId(7), 3);
-        s.collect_partners(NodeId(7));
-        assert_eq!(s.partners, vec![0, 2, 3], "oldest first");
-        s.collect_partners(NodeId(3));
+        s.push_root_chain(NodeId(7), 0, 0);
+        s.push_root_chain(NodeId(3), 1, 0);
+        s.push_root_chain(NodeId(7), 2, 0);
+        s.push_root_chain(NodeId(7), 3, 0);
+        assert_eq!(s.collect_partners(NodeId(7), 3, 0), 2);
+        assert_eq!(s.partners, vec![0, 2], "oldest first, self excluded");
+        assert_eq!(s.collect_partners(NodeId(3), 4, 0), 1);
         assert_eq!(s.partners, vec![1]);
-        s.collect_partners(NodeId(99));
+        assert_eq!(s.collect_partners(NodeId(99), 4, 0), 0);
         assert!(s.partners.is_empty());
         // A new run sees empty chains without any clearing pass.
         s.begin();
-        s.collect_partners(NodeId(7));
+        assert_eq!(s.collect_partners(NodeId(7), 0, 0), 0);
         assert!(s.partners.is_empty());
-        s.push_root_chain(NodeId(7), 0);
-        s.collect_partners(NodeId(7));
+        s.push_root_chain(NodeId(7), 0, 0);
+        assert_eq!(s.collect_partners(NodeId(7), 1, 0), 1);
         assert_eq!(s.partners, vec![0]);
+    }
+
+    #[test]
+    fn partner_walk_drops_intersecting_signatures() {
+        let mut s = SearchScratch::new();
+        s.begin();
+        s.push_root_chain(NodeId(7), 0, 0b001);
+        s.push_root_chain(NodeId(7), 1, 0b010);
+        s.push_root_chain(NodeId(7), 2, 0);
+        s.push_root_chain(NodeId(7), 3, 0b011);
+        assert_eq!(s.collect_partners(NodeId(7), 3, 0b011), 3);
+        assert_eq!(s.partners, vec![2], "only the disjoint partner remains");
+        assert_eq!(s.collect_partners(NodeId(7), 0, 0b001), 3);
+        assert_eq!(s.partners, vec![1, 2]);
     }
 }

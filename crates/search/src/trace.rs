@@ -115,8 +115,10 @@ pub enum TraceEvent {
         /// The neighbor becoming the grown candidate's new root.
         added: NodeId,
     },
-    /// A *tree merge* between two same-rooted candidates was attempted
-    /// ([`TraceLevel::Full`]).
+    /// A *tree merge* between two same-rooted candidates reached the
+    /// exact check ([`TraceLevel::Full`]). Pairs whose matcher signatures
+    /// intersect never get there and emit nothing;
+    /// [`crate::SearchStats::merges_skipped`] counts them.
     Merge {
         /// The shared root.
         root: NodeId,

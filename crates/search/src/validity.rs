@@ -1,6 +1,6 @@
 use ci_rwmp::Jtt;
 
-use crate::query::QuerySpec;
+use crate::query::{QuerySpec, MAX_KEYWORDS};
 
 /// Checks whether a tree is a valid query answer (Definition 3).
 ///
@@ -13,9 +13,9 @@ use crate::query::QuerySpec;
 ///    ≤ 1 (leaves, and a single-child root, which is a degree-1 node).
 ///
 /// Condition 2 is a bipartite matching: each mandatory node must be paired
-/// with a distinct keyword it contains.
+/// with a distinct keyword it contains (Hall's condition, checked on the
+/// nodes' keyword masks).
 pub fn is_valid_answer(tree: &Jtt, query: &QuerySpec) -> bool {
-    let kc = query.keyword_count();
     let mut covered = 0u32;
     for &v in tree.nodes() {
         covered |= query.mask_of(v);
@@ -23,66 +23,53 @@ pub fn is_valid_answer(tree: &Jtt, query: &QuerySpec) -> bool {
     if covered != query.full_mask() {
         return false;
     }
-    let mandatory: Vec<usize> = tree.leaves();
-    if mandatory.len() > kc {
-        return false;
+    let mut masks = [0u32; MAX_KEYWORDS];
+    let mut n = 0;
+    for pos in (0..tree.size()).filter(|&p| tree.adjacent(p).len() <= 1) {
+        let Some(slot) = masks.get_mut(n) else {
+            return false; // more mandatory nodes than keywords
+        };
+        *slot = query.mask_of(tree.node(pos));
+        n += 1;
     }
-    leaves_matchable(tree, query, &mandatory)
+    leaf_masks_matchable(masks.get(..n).unwrap_or(&[]))
 }
 
-/// True if the given tree positions can be injectively assigned distinct
-/// keywords they contain (Hall condition via augmenting paths). Used both
-/// for final validity and as a monotone prune on candidate trees (non-root
-/// leaves stay leaves under root-only extension).
-pub fn leaves_matchable(tree: &Jtt, query: &QuerySpec, positions: &[usize]) -> bool {
-    let kc = query.keyword_count();
-    if positions.len() > kc {
+/// Sentinel for "keyword not yet assigned" in the matching state.
+const UNASSIGNED: usize = usize::MAX;
+
+/// True if every node, given by its keyword mask, can be assigned a
+/// distinct keyword it contains (Hall condition via augmenting paths).
+/// Used both for final validity and as a monotone prune on candidate
+/// trees (non-root leaves stay leaves under root-only extension). The
+/// state is fixed-size: masks are `u32`, so at most [`MAX_KEYWORDS`]
+/// nodes can be matched and longer inputs fail at once.
+pub(crate) fn leaf_masks_matchable(masks: &[u32]) -> bool {
+    if masks.len() > MAX_KEYWORDS {
         return false;
     }
-    // keyword -> assigned position index (into `positions`), or usize::MAX.
-    let mut owner = vec![usize::MAX; kc];
-    for (pi, &pos) in positions.iter().enumerate() {
-        let mask = query.mask_of(tree.node(pos));
-        if mask == 0 {
-            return false;
-        }
-        let mut seen = vec![false; kc];
-        if !augment(pi, mask, positions, tree, query, &mut owner, &mut seen) {
-            return false;
-        }
-    }
-    true
+    // keyword -> index (into `masks`) of the node it is assigned to.
+    let mut owner = [UNASSIGNED; MAX_KEYWORDS];
+    (0..masks.len()).all(|i| augment(i, masks, &mut owner, &mut 0))
 }
 
-fn augment(
-    pi: usize,
-    mask: u32,
-    positions: &[usize],
-    tree: &Jtt,
-    query: &QuerySpec,
-    owner: &mut [usize],
-    seen: &mut [bool],
-) -> bool {
-    for k in 0..owner.len() {
-        if mask & (1 << k) == 0 || seen.get(k).copied().unwrap_or(true) {
+/// Tries to assign node `i` a keyword, re-assigning earlier nodes along an
+/// augmenting path; `seen` marks the keywords this search has visited.
+fn augment(i: usize, masks: &[u32], owner: &mut [usize; MAX_KEYWORDS], seen: &mut u32) -> bool {
+    let mut free = masks.get(i).copied().unwrap_or(0);
+    while free != 0 {
+        let k = free.trailing_zeros();
+        free &= free - 1;
+        if *seen & (1 << k) != 0 {
             continue;
         }
-        if let Some(s) = seen.get_mut(k) {
-            *s = true;
-        }
-        let other = owner.get(k).copied().unwrap_or(usize::MAX);
-        if other == usize::MAX {
-            if let Some(slot) = owner.get_mut(k) {
-                *slot = pi;
-            }
-            return true;
-        }
-        let other_mask = positions
-            .get(other)
-            .map_or(0, |&pos| query.mask_of(tree.node(pos)));
-        if augment(other, other_mask, positions, tree, query, owner, seen) {
-            if let Some(slot) = owner.get_mut(k) {
-                *slot = pi;
+        *seen |= 1 << k;
+        let Some(&other) = owner.get(k as usize) else {
+            continue;
+        };
+        if other == UNASSIGNED || augment(other, masks, owner, seen) {
+            if let Some(slot) = owner.get_mut(k as usize) {
+                *slot = i;
             }
             return true;
         }
@@ -191,5 +178,43 @@ mod tests {
         let t2 = Jtt::new(vec![NodeId(0), NodeId(2), NodeId(3)], vec![(0, 1), (1, 2)])?;
         assert!(is_valid_answer(&t2, &q2));
         Ok(())
+    }
+
+    #[test]
+    fn mask_matching_follows_hall() {
+        assert!(leaf_masks_matchable(&[]));
+        assert!(!leaf_masks_matchable(&[0]), "a free leaf takes no keyword");
+        assert!(!leaf_masks_matchable(&[0b01, 0b01]));
+        // The second node forces the first onto its other keyword.
+        assert!(leaf_masks_matchable(&[0b11, 0b01]));
+        assert!(!leaf_masks_matchable(&[0b11, 0b11, 0b11]));
+        let distinct: Vec<u32> = (0..32).map(|k| 1u32 << k).collect();
+        assert!(leaf_masks_matchable(&distinct));
+        let too_many = vec![u32::MAX; MAX_KEYWORDS + 1];
+        assert!(!leaf_masks_matchable(&too_many));
+    }
+
+    /// Exhaustive search for a system of distinct representatives.
+    fn brute_force(masks: &[u32], used: u32) -> bool {
+        match masks.split_first() {
+            None => true,
+            Some((&m, rest)) => (0..32)
+                .filter(|&k| m & !used & (1 << k) != 0)
+                .any(|k| brute_force(rest, used | (1 << k))),
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn mask_matching_agrees_with_brute_force(
+                masks in proptest::collection::vec(0u32..16, 0..6),
+            ) {
+                prop_assert_eq!(leaf_masks_matchable(&masks), brute_force(&masks, 0));
+            }
+        }
     }
 }

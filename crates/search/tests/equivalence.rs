@@ -231,3 +231,52 @@ proptest! {
         }
     }
 }
+
+/// More matchers than signature bits: only the first 64 matchers of
+/// `QuerySpec::matchers_sorted` get a bit, so merges that share one of the
+/// others are rejected by the exact overlap check alone.
+#[test]
+fn bnb_matches_naive_beyond_signature_width() {
+    // Three free hubs in a path, each with 24 matcher spokes.
+    let mut b = GraphBuilder::new();
+    let hubs: Vec<NodeId> = (0..3).map(|_| b.add_node(1, vec![])).collect();
+    b.add_pair(hubs[0], hubs[1], 1.0, 1.0);
+    b.add_pair(hubs[1], hubs[2], 2.0, 1.0);
+    let masks = [0b001, 0b010, 0b100, 0b011, 0b101];
+    let mut matches = Vec::new();
+    for &hub in &hubs {
+        for s in 0..24u32 {
+            let v = b.add_node(0, vec![]);
+            b.add_pair(v, hub, f64::from(1 + s % 3), 1.0);
+            matches.push((v, masks[s as usize % masks.len()], 2 + s % 4));
+        }
+    }
+    let graph = b.build();
+    let p: Vec<f64> = (0..graph.node_count())
+        .map(|i| (1 + (i * 37) % 101) as f64 / 1000.0)
+        .collect();
+    let p_min = p.iter().cloned().fold(f64::INFINITY, f64::min);
+    let scorer = Scorer::new(&graph, &p, p_min, Dampening::paper_default());
+    let query = QuerySpec::from_matches(&scorer, vec!["a".into(), "b".into(), "c".into()], matches);
+    assert!(query.matcher_count() > 64);
+    assert!(query.matchers().any(|m| query.sig_bit(m.node) == 0));
+
+    let opts = SearchOptions {
+        diameter: 2,
+        k: 10,
+        max_tree_nodes: 4,
+        naive_max_paths: 100_000,
+        naive_max_combinations: 1_000_000,
+        ..Default::default()
+    };
+    let (oracle_answers, naive_stats) = naive_search(&scorer, &query, &opts);
+    assert!(!naive_stats.truncated());
+    assert_eq!(oracle_answers.len(), opts.k);
+    let (answers, stats) = bnb_search(&scorer, &query, &NoIndex, &opts);
+    assert!(!stats.truncated());
+    assert!(stats.merges_skipped > 0 && stats.merges_skipped < stats.merges);
+    assert_equivalent("beyond-signature-width", &oracle_answers, &answers);
+    for (a, b) in oracle_answers.iter().zip(&answers) {
+        assert_eq!(a.tree.canonical_key(), b.tree.canonical_key());
+    }
+}

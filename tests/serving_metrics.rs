@@ -28,6 +28,7 @@ struct Expected {
     bound_pruned: u64,
     distance_pruned: u64,
     merges: u64,
+    merges_skipped: u64,
     truncated: u64,
     cache_hits: u64,
     cache_misses: u64,
@@ -46,6 +47,7 @@ fn replay(session: &ci_rank::QuerySession<'_>, queries: &[String]) -> Expected {
                 e.bound_pruned += stats.bound_pruned as u64;
                 e.distance_pruned += stats.distance_pruned as u64;
                 e.merges += stats.merges as u64;
+                e.merges_skipped += stats.merges_skipped as u64;
                 e.truncated += u64::from(stats.truncation.is_some());
                 if let Some(c) = &stats.cache {
                     e.cache_hits += c.hits as u64;
@@ -71,6 +73,10 @@ fn assert_agrees(delta: &ci_rank::MetricsSnapshot, e: &Expected, label: &str) {
         "{label}: distance_pruned"
     );
     assert_eq!(delta.merges, e.merges, "{label}: merges");
+    assert_eq!(
+        delta.merges_skipped, e.merges_skipped,
+        "{label}: merges skipped"
+    );
     assert_eq!(delta.truncated_total(), e.truncated, "{label}: truncations");
     assert_eq!(delta.cache_hits, e.cache_hits, "{label}: cache hits");
     assert_eq!(delta.cache_misses, e.cache_misses, "{label}: cache misses");
@@ -133,6 +139,7 @@ fn metrics_are_exact_across_concurrent_sessions() {
         total.bound_pruned += e.bound_pruned;
         total.distance_pruned += e.distance_pruned;
         total.merges += e.merges;
+        total.merges_skipped += e.merges_skipped;
         total.truncated += e.truncated;
         total.cache_hits += e.cache_hits;
         total.cache_misses += e.cache_misses;
